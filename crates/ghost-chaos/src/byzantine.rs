@@ -26,14 +26,16 @@
 //! `repro.json` exactly like fault-plan combos.
 
 use crate::oracle::{self, Failure};
+use crate::repro;
 use crate::run::{PolicyKind, WATCHDOG};
+use crate::shrink::shrink_by_removal;
+use crate::sweep::{rotate, Outcome, Sweep};
 use ghost_core::enclave::{EnclaveConfig, QueueId, WakeMode};
 use ghost_core::msg::Message;
 use ghost_core::policy::{GhostPolicy, PolicyCtx};
 use ghost_core::runtime::{EnclaveHandle, GhostRuntime, GhostStats};
 use ghost_core::txn::{Transaction, TxnStatus};
 use ghost_core::{AbiError, StandbyConfig, ThreadSnapshot};
-use ghost_lab::engine::{Experiment, ExperimentResult};
 use ghost_policies::CentralizedFifo;
 use ghost_sim::app::{App, Next};
 use ghost_sim::faults::{FaultKind, FaultPlan};
@@ -42,6 +44,7 @@ use ghost_sim::thread::{ThreadState, Tid};
 use ghost_sim::time::{Nanos, MICROS, MILLIS};
 use ghost_sim::topology::{CpuId, Topology};
 use ghost_sim::CpuSet;
+use ghost_trace::json::Json;
 use ghost_trace::{TraceRecord, TraceSink};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -163,8 +166,9 @@ impl ByzOp {
         )
     }
 
-    /// Stable one-line rendering for spec strings and reports. Field
-    /// names match the `repro.json` vocabulary.
+    /// Stable one-line rendering for spec strings and reports; the
+    /// `repro.json` encoding is rendered from it, so the two share one
+    /// vocabulary.
     pub fn spec(&self) -> String {
         match *self {
             ByzOp::CommitForgedCpu { cpu } => format!("commit-forged-cpu cpu={cpu}"),
@@ -300,10 +304,9 @@ pub fn generate_byz_ops(seed: u64) -> Vec<ByzOp> {
     ops
 }
 
-/// Everything a finished byzantine run exposes to the CLI and tests.
+/// The counters of a finished byzantine run, beside its [`Outcome`].
+#[derive(Default)]
 pub struct ByzReport {
-    /// Oracle verdicts; empty means the hostile sequence was absorbed.
-    pub failures: Vec<Failure>,
     /// Victim workload segments completed.
     pub victim_completions: u64,
     /// Hostile calls the kernel rejected.
@@ -312,8 +315,6 @@ pub struct ByzReport {
     pub quarantined: bool,
     /// Runtime counters at end of run.
     pub stats: GhostStats,
-    /// The recorded trace (for Chrome export of failing runs).
-    pub records: Vec<TraceRecord>,
 }
 
 /// Shared outcome ledger between the byzantine policy (in-activation
@@ -601,7 +602,7 @@ impl App for SplitPulseApp {
     }
 }
 
-fn run_byzantine_inner(combo: &ByzCombo) -> ByzReport {
+fn run_byzantine_inner(combo: &ByzCombo) -> (ByzReport, Vec<Failure>, Vec<TraceRecord>) {
     let sink = TraceSink::recording(1, 1 << 18);
     // The victim also absorbs an agent crash mid-run: its hot standby
     // must recover within the SLO *while* the byzantine neighbour is
@@ -744,101 +745,169 @@ fn run_byzantine_inner(combo: &ByzCombo) -> ByzReport {
         victim_completions,
         Some(StandbyConfig::default().recovery_slo),
     ));
-    ByzReport {
-        failures,
+    let report = ByzReport {
         victim_completions,
         hostile_rejected: led.rejected,
         quarantined: stats.quarantines > 0,
         stats,
-        records,
-    }
+    };
+    (report, failures, records)
 }
 
 /// Runs `combo` to its horizon under the never-panic oracle and judges
 /// it with the typed-rejection and victim-liveness oracles. Fully
-/// deterministic: the same combo always returns the same report.
-pub fn run_byzantine(combo: &ByzCombo) -> ByzReport {
-    match catch_unwind(AssertUnwindSafe(|| run_byzantine_inner(combo))) {
-        Ok(report) => report,
-        Err(payload) => {
+/// deterministic: the same combo always returns the same outcome. Each
+/// oracle violation is a `failure ...` line.
+pub fn run_byzantine(combo: &ByzCombo) -> Outcome<ByzReport> {
+    let (report, failures, records) = catch_unwind(AssertUnwindSafe(|| run_byzantine_inner(combo)))
+        .unwrap_or_else(|payload| {
             let msg = payload
                 .downcast_ref::<String>()
                 .map(String::as_str)
                 .or_else(|| payload.downcast_ref::<&str>().copied())
                 .unwrap_or("opaque panic payload");
-            ByzReport {
-                failures: vec![Failure {
-                    oracle: "never-panic",
-                    detail: format!("hostile ABI sequence panicked the kernel: {msg}"),
-                }],
-                victim_completions: 0,
-                hostile_rejected: 0,
-                quarantined: false,
-                stats: GhostStats::default(),
-                records: Vec::new(),
-            }
-        }
-    }
-}
-
-/// Shrinks a failing byzantine combo to a 1-minimal op sequence, exactly
-/// like [`crate::shrink::shrink`] does for fault plans. A combo that
-/// does not fail is returned unchanged.
-pub fn shrink_byzantine(combo: &ByzCombo) -> ByzCombo {
-    let mut best = combo.clone();
-    if run_byzantine(&best).failures.is_empty() {
-        return best;
-    }
-    loop {
-        let mut improved = false;
-        for i in 0..best.ops.len() {
-            let mut cand = best.clone();
-            cand.ops.remove(i);
-            if !run_byzantine(&cand).failures.is_empty() {
-                best = cand;
-                improved = true;
-                break;
-            }
-        }
-        if !improved {
-            return best;
-        }
-    }
-}
-
-/// A byzantine combo as a `ghost-lab` experiment, so the hostile sweep
-/// runs on the same parallel engine (and cache) as the fault sweep.
-pub struct ByzExperiment(pub ByzCombo);
-
-impl Experiment for ByzExperiment {
-    fn label(&self) -> String {
-        format!("byz/{}/seed={}", self.0.victim.name(), self.0.seed)
-    }
-
-    fn spec(&self) -> String {
-        self.0.spec_string()
-    }
-
-    fn execute(&self) -> ExperimentResult {
-        let report = run_byzantine(&self.0);
-        let mut lines = vec![
+            let panicked = Failure {
+                oracle: "never-panic",
+                detail: format!("hostile ABI sequence panicked the kernel: {msg}"),
+            };
+            (ByzReport::default(), vec![panicked], Vec::new())
+        });
+    Outcome {
+        lines: vec![
             format!("victim-completions {}", report.victim_completions),
             format!("hostile-rejected {}", report.hostile_rejected),
             format!("abi-rejects {}", report.stats.abi_rejects_total()),
             format!("quarantines {}", report.stats.quarantines),
             format!("txns-committed {}", report.stats.txns_committed),
-            format!("trace-records {}", report.records.len()),
-        ];
-        for f in &report.failures {
-            lines.push(format!("failure {f}"));
-        }
-        let hash = ghost_lab::fnv64_lines(&lines);
-        ExperimentResult {
-            pass: report.failures.is_empty(),
-            hash,
-            lines,
-        }
+            format!("trace-records {}", records.len()),
+        ],
+        failures: failures.iter().map(|f| format!("failure {f}")).collect(),
+        records,
+        sample: report,
     }
+}
+
+/// The byzantine sweep: hostile ABI call sequences from a co-resident
+/// malicious enclave, rotated over the victim policies. Repros are
+/// tagged `"kind": "byzantine"`; failures shrink to a 1-minimal op
+/// sequence.
+#[derive(Debug, Clone, Copy)]
+pub struct ByzantineSweep;
+
+impl Sweep for ByzantineSweep {
+    type Case = ByzCombo;
+    type Sample = ByzReport;
+    const KIND: Option<&'static str> = Some("byzantine");
+    const DEFAULT_COMBOS: u64 = 64;
+    const DETERMINISTIC: bool = true;
+
+    fn policies(&self) -> Vec<PolicyKind> {
+        ByzCombo::victims()
+    }
+
+    fn generate(&self, i: u64, seed_base: u64, victims: &[PolicyKind]) -> ByzCombo {
+        ByzCombo::generated(rotate(victims, i), seed_base + i)
+    }
+
+    fn label(&self, combo: &ByzCombo) -> String {
+        format!("byz/{}/seed={}", combo.victim.name(), combo.seed)
+    }
+
+    fn spec(&self, combo: &ByzCombo) -> String {
+        combo.spec_string()
+    }
+
+    fn describe(&self, combo: &ByzCombo) -> String {
+        format!(
+            "victim={} seed={} ops={}",
+            combo.victim.name(),
+            combo.seed,
+            combo.ops.len()
+        )
+    }
+
+    fn run(&self, combo: &ByzCombo) -> Outcome<ByzReport> {
+        run_byzantine(combo)
+    }
+
+    fn shrink(&self, combo: &ByzCombo) -> ByzCombo {
+        shrink_by_removal(
+            combo,
+            |c| &mut c.ops,
+            |c| !run_byzantine(c).failures.is_empty(),
+        )
+    }
+
+    /// Ops render from [`ByzOp::spec`], with status-word payloads as
+    /// decimal strings for the same `f64` reason as seeds.
+    fn encode(&self, combo: &ByzCombo) -> String {
+        let ops = combo.ops.iter();
+        repro::document(
+            Self::KIND,
+            &[
+                ("victim", repro::string(combo.victim.name())),
+                ("seed", repro::string(&combo.seed.to_string())),
+                (
+                    "ops",
+                    repro::array(ops.map(|op| repro::spec_to_json(&op.spec(), "op", &["value"]))),
+                ),
+            ],
+        )
+    }
+
+    fn decode(&self, doc: &Json) -> Result<ByzCombo, String> {
+        let victims = ByzCombo::victims();
+        let ops = doc
+            .get("ops")
+            .and_then(Json::as_arr)
+            .ok_or("missing array field 'ops'")?
+            .iter()
+            .map(byz_op_from_json)
+            .collect::<Result<_, _>>()?;
+        Ok(ByzCombo {
+            victim: repro::policy(doc, "victim", |p| victims.contains(&p))?,
+            seed: repro::seed(doc)?,
+            ops,
+        })
+    }
+}
+
+fn byz_op_from_json(v: &Json) -> Result<ByzOp, String> {
+    let name = v
+        .get("op")
+        .and_then(Json::as_str)
+        .ok_or("byzantine op without 'op'")?;
+    let cpu = || repro::field_u64(v, "cpu").map(|c| c as u16);
+    let tid = || repro::field_u64(v, "tid").map(|t| t as u32);
+    let op = match name {
+        "commit-forged-cpu" => ByzOp::CommitForgedCpu { cpu: cpu()? },
+        "commit-foreign-tid" => ByzOp::CommitForeignTid { tid: tid()? },
+        "commit-stale-seq" => ByzOp::CommitStaleSeq,
+        "commit-atomic-mixed" => ByzOp::CommitAtomicMixed { cpu: cpu()? },
+        "recall-forged" => ByzOp::RecallForged { cpu: cpu()? },
+        "queue-destroy-default" => ByzOp::QueueDestroyDefault,
+        "queue-associate-forged" => ByzOp::QueueAssociateForged {
+            tid: tid()?,
+            queue: repro::field_u64(v, "queue")? as u32,
+        },
+        "queue-wakeup-forged" => ByzOp::QueueWakeupForged { tid: tid()? },
+        "pnt-push-foreign" => ByzOp::PntPushForeign { tid: tid()? },
+        "ping-forged" => ByzOp::PingForged { cpu: cpu()? },
+        "attach-forged" => ByzOp::AttachForged { tid: tid()? },
+        "status-write" => ByzOp::StatusWrite {
+            tid: tid()?,
+            value: repro::field_str(v, "value")?
+                .parse::<u64>()
+                .map_err(|e| format!("bad status-write value: {e}"))?,
+        },
+        "status-read-forged" => ByzOp::StatusReadForged { tid: tid()? },
+        "hint-forged" => ByzOp::HintForged { tid: tid()? },
+        "upgrade-without-stage" => ByzOp::UpgradeWithoutStage,
+        "destroy-twice" => ByzOp::DestroyTwice,
+        "create-overlapping" => ByzOp::CreateOverlapping { cpu: cpu()? },
+        other => return Err(format!("unknown byzantine op '{other}'")),
+    };
+    Ok(op)
 }
 
 #[cfg(test)]
@@ -896,8 +965,7 @@ mod tests {
         let a = run_byzantine(&combo);
         let b = run_byzantine(&combo);
         assert_eq!(a.failures, b.failures);
-        assert_eq!(a.victim_completions, b.victim_completions);
-        assert_eq!(a.hostile_rejected, b.hostile_rejected);
+        assert_eq!(a.lines, b.lines);
         assert_eq!(a.records.len(), b.records.len());
     }
 
@@ -922,8 +990,9 @@ mod tests {
             ],
         };
         assert_eq!(combo.strike_budget(), Some(4));
-        let report = run_byzantine(&combo);
-        assert!(report.failures.is_empty(), "{:?}", report.failures);
+        let outcome = run_byzantine(&combo);
+        assert!(outcome.failures.is_empty(), "{:?}", outcome.failures);
+        let report = outcome.sample;
         assert!(
             report.quarantined,
             "six byzantine strikes against a budget of four must quarantine"

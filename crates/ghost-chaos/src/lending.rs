@@ -24,60 +24,30 @@
 //! [`crate::live`].
 
 use crate::oracle::Failure;
-use ghost_core::{LeaseStats, RmConfig, StandbyConfig};
-use ghost_lab::{LendingFault, LendingScenario, LendingWorkload};
-use ghost_live::{DegradedLimits, KvService, LiveConfig, LiveKernel};
-use ghost_sim::time::{Nanos, MICROS, MILLIS, SECS};
+use crate::repro;
+use crate::sweep::{rotate, Outcome, Sweep};
+use ghost_core::{LeaseStats, RmConfig};
+use ghost_lab::bench::BenchRow;
+use ghost_lab::{
+    lease_invariants, lease_reclaim_rows, LendingFault, LendingScenario, LendingWorkload, ScoreCols,
+};
+use ghost_live::{LiveConfig, LiveKernel};
+use ghost_sim::time::{Nanos, MILLIS, SECS};
 use ghost_sim::topology::CpuId;
-use ghost_sim::CpuSet;
-use ghost_trace::check::{self, LIVE_GRACE_NS};
 use ghost_trace::derive::TraceMetrics;
-use ghost_trace::{TraceRecord, TraceSink};
-use std::sync::Arc;
+use ghost_trace::json::Json;
+use ghost_trace::TraceSink;
+use std::collections::BTreeMap;
 use std::time::{Duration, Instant};
 
 pub use ghost_lab::scenario::PolicyKind;
 
-use crate::live::LIVE_WATCHDOG;
+use crate::live::{await_recovery, launch, live_policies, KvLoad};
 
 /// Virtual horizon for one simulated lending combo: long enough for the
 /// diurnal backlog to force borrowing, every fault arm to complete its
 /// schedule, and deadline-stress leases to expire several times over.
 pub const LENDING_HORIZON: Nanos = 120 * MILLIS;
-
-/// Per-request service-time floor for the live lending KV workload.
-pub const LENDING_LIVE_SERVICE_NS: u64 = 2 * MICROS;
-
-/// Policies swept as the protected (borrowing) enclave in the simulated
-/// lending sweep: the two centralized schedulers, one FIFO and one
-/// preemptive — enough to show the lending machinery is policy-agnostic
-/// without paying for the whole evaluation matrix per fault row.
-pub fn lending_policies() -> Vec<PolicyKind> {
-    vec![PolicyKind::CentralizedFifo, PolicyKind::Shinjuku]
-}
-
-/// The `i`-th combo of the simulated lending sweep: policy rotates
-/// fastest, then the four fault rows, with `seed_base + i` as the seed.
-/// Always the diurnal workload — the shape that reliably drives the RM
-/// to lend, so every fault lands on a system with lease traffic.
-pub fn lending_combo(index: u64, seed_base: u64, policies: &[PolicyKind]) -> LendingScenario {
-    let policy = policies[(index % policies.len() as u64) as usize];
-    let faults = LendingFault::all();
-    let fault = faults[((index / policies.len() as u64) % faults.len() as u64) as usize];
-    LendingScenario::new(
-        policy,
-        LendingWorkload::Diurnal,
-        fault,
-        seed_base + index,
-        LENDING_HORIZON,
-    )
-}
-
-/// Policies swept on the live lending backend (the registry's
-/// `live_backend` capability, same set as [`crate::live::live_policies`]).
-pub fn lending_live_policies() -> Vec<PolicyKind> {
-    PolicyKind::live_backend()
-}
 
 /// One point of the live lending sweep.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -127,10 +97,8 @@ impl LendingLiveCombo {
     }
 }
 
-/// Everything a finished live lending run exposes to the CLI and tests.
+/// The counters of a finished live lending run, beside its [`Outcome`].
 pub struct LendingLiveReport {
-    /// Oracle verdicts; empty means the run survived its fault arm.
-    pub failures: Vec<Failure>,
     /// KV requests completed on the protected enclave.
     pub completed: u64,
     /// Kernel-side lease accounting at end of run.
@@ -144,8 +112,6 @@ pub struct LendingLiveReport {
     pub reclaim_spans: Vec<u64>,
     /// Wall-clock duration of the whole run.
     pub wall_ns: u128,
-    /// The recorded trace (for Chrome export of failing runs).
-    pub records: Vec<TraceRecord>,
 }
 
 /// One wall-clock action of a live lending fault schedule.
@@ -166,7 +132,7 @@ enum LiveStep {
 
 /// Runs `combo` on the live backend and evaluates the lending oracles.
 /// Takes real wall-clock time (~0.5–1 s per combo plus KV drain).
-pub fn run_lending_live(combo: &LendingLiveCombo) -> LendingLiveReport {
+pub fn run_lending_live(combo: &LendingLiveCombo) -> Outcome<LendingLiveReport> {
     let started = Instant::now();
     let cpus = 4usize;
     let sink = TraceSink::recording(cpus, 1 << 20);
@@ -177,63 +143,27 @@ pub fn run_lending_live(combo: &LendingLiveCombo) -> LendingLiveReport {
         ..LiveConfig::default()
     });
 
-    let mut p_cpus = CpuSet::empty();
-    p_cpus.add(CpuId(0));
-    p_cpus.add(CpuId(1));
-    let mut d_cpus = CpuSet::empty();
-    d_cpus.add(CpuId(2));
-    d_cpus.add(CpuId(3));
-
     // Standby machinery only where the arm crashes an agent that must
     // come back: revoke-during-reconstruct. The borrower-crash arm
     // deliberately leaves the enclave unprotected — its death is the
     // point (the lease must resolve, not strand).
     let standby = combo.fault == LendingFault::RevokeDuringReconstruct;
-    let mut p_config = combo
-        .policy
-        .enclave_config(&format!("lend-live-{}", combo.seed))
-        .with_watchdog(LIVE_WATCHDOG);
-    if standby {
-        p_config = p_config.with_standby(StandbyConfig {
-            max_respawns: 3,
-            respawn_backoff: 100 * MILLIS,
-            recovery_slo: SECS,
-        });
-    }
-    let protected = kernel.launch_enclave(p_cpus, p_config, combo.policy.build());
-    if standby {
-        let policy = combo.policy;
-        protected.set_standby_policy(move || policy.build());
-    }
-    let donor_policy = PolicyKind::CentralizedFifo;
-    let donor = kernel.launch_enclave(
-        d_cpus,
-        donor_policy
-            .enclave_config("lend-live-donor")
-            .with_watchdog(LIVE_WATCHDOG),
-        donor_policy.build(),
+    let protected = launch(
+        &kernel,
+        combo.policy,
+        &format!("lend-live-{}", combo.seed),
+        [CpuId(0), CpuId(1)].into_iter().collect(),
+        standby,
+    );
+    let donor = launch(
+        &kernel,
+        PolicyKind::CentralizedFifo,
+        "lend-live-donor",
+        [CpuId(2), CpuId(3)].into_iter().collect(),
+        false,
     );
 
-    let kv = KvService::with_limits(
-        16,
-        LENDING_LIVE_SERVICE_NS,
-        DegradedLimits {
-            request_timeout: 50 * MILLIS,
-            max_retries: 3,
-            retry_backoff: MILLIS,
-            shed_depth: 2,
-        },
-    );
-    let workers: Vec<_> = (0..4)
-        .map(|i| kernel.spawn_kv_worker(&format!("lend-kv-{i}"), Arc::clone(&kv)))
-        .collect();
-    for &tid in &workers {
-        kernel.attach(&protected, tid);
-    }
-    kv.start_closed_loop(combo.requests, 2 * workers.len() as u64, kernel.now());
-    for &tid in &workers {
-        kernel.wake(tid);
-    }
+    let load = KvLoad::start(&kernel, &protected, "lend-kv", 4, combo.requests);
 
     kernel.rm_start(combo.rm_config(), protected.id(), donor.id());
 
@@ -296,50 +226,24 @@ pub fn run_lending_live(combo: &LendingLiveCombo) -> LendingLiveReport {
         }
     };
 
-    // Supervise: fire schedule marks as the wall clock passes them,
-    // mirror degraded mode into the KV service, pump retry backoffs,
-    // and kick blocked workers — until the closed loop drains AND the
-    // schedule completes (whichever is later), or the deadline passes.
-    let deadline = Instant::now() + Duration::from_secs(60);
+    // Supervise, firing schedule marks as the wall clock passes them,
+    // until the closed loop drains AND the schedule completes.
     let mut next = 0usize;
-    loop {
+    load.supervise(&kernel, eid, &mut failures, |failures| {
         let elapsed_ms = started.elapsed().as_millis() as u64;
         while next < schedule.len() && elapsed_ms >= schedule[next].0 {
-            apply(&schedule[next].1, &mut failures);
+            apply(&schedule[next].1, failures);
             next += 1;
         }
-        if kv.accounted_count() >= combo.requests && next >= schedule.len() {
-            break;
-        }
-        if Instant::now() > deadline {
-            failures.push(Failure {
-                oracle: "live-timeout",
-                detail: format!(
-                    "closed loop stalled at {}/{} accounted requests",
-                    kv.accounted_count(),
-                    combo.requests
-                ),
-            });
-            break;
-        }
-        kv.set_degraded(rt.enclave_degraded(eid));
-        kv.pump_delayed(kernel.now());
-        if kv.depth() > 0 {
-            kernel.wake_one_blocked(&workers);
-        }
-        std::thread::sleep(Duration::from_millis(1));
-    }
-    kv.set_degraded(false);
+        next >= schedule.len()
+    });
 
     // Settle: any short lease granted near the end must get its
     // deadline fired by the timer thread before we judge stranding.
     std::thread::sleep(Duration::from_millis(150));
     if standby {
         // Wait for the §3.4 machinery before judging the recovery arm.
-        let rescue = Instant::now() + Duration::from_secs(10);
-        while rt.stats().recoveries < 1 && Instant::now() < rescue && protected.alive() {
-            std::thread::sleep(Duration::from_millis(5));
-        }
+        await_recovery(rt, &protected);
     }
 
     let lease_stats = rt.lease_stats();
@@ -353,66 +257,12 @@ pub fn run_lending_live(combo: &LendingLiveCombo) -> LendingLiveReport {
         .collect();
     let rm_restarts = rt.rm_stats().map(|r| r.restarts).unwrap_or_default();
 
-    if sink.dropped() > 0 {
-        failures.push(Failure {
-            oracle: "trace-lossless",
-            detail: format!("trace ring dropped {} records", sink.dropped()),
-        });
-    }
-    for v in check::check_with_grace(&records, LIVE_GRACE_NS) {
-        failures.push(Failure {
-            oracle: "trace-invariant",
-            detail: v.to_string(),
-        });
-    }
-    if kv.completed_count() == 0 {
-        failures.push(Failure {
-            oracle: "progress",
-            detail: "no KV request completed over the whole run".into(),
-        });
-    }
+    failures.extend(load.judge(&records, sink.dropped()));
 
-    // No stranded lease: every outstanding lease's CPU is owned by its
-    // live borrower, and no CPU is owned by a dead enclave.
-    for l in &leases {
-        if rt.cpu_owner(l.cpu) != Some(l.borrower) {
-            failures.push(Failure {
-                oracle: "stranded-lease",
-                detail: format!(
-                    "cpu {} leased to {:?} but owned by {:?}",
-                    l.cpu.0,
-                    l.borrower,
-                    rt.cpu_owner(l.cpu)
-                ),
-            });
-        }
-    }
-    for c in 0..cpus as u16 {
-        if let Some(owner) = rt.cpu_owner(CpuId(c)) {
-            let alive = (owner == protected.id() && protected.alive())
-                || (owner == donor.id() && donor.alive());
-            if !alive {
-                failures.push(Failure {
-                    oracle: "cpu-on-dead-enclave",
-                    detail: format!("cpu {c} owned by dead enclave {owner:?}"),
-                });
-            }
-        }
-    }
-
-    // Every grant accounted for: resolved + outstanding == granted.
-    let resolved = lease_stats.returned
-        + lease_stats.expired
-        + lease_stats.borrower_deaths
-        + lease_stats.lender_deaths;
-    if lease_stats.granted != resolved + leases.len() as u64 {
+    for fail in lease_invariants(rt, cpus, [&protected, &donor]) {
         failures.push(Failure {
-            oracle: "lease-accounting",
-            detail: format!(
-                "granted={} resolved={resolved} outstanding={}",
-                lease_stats.granted,
-                leases.len()
-            ),
+            oracle: "lease-invariant",
+            detail: fail.trim_start_matches("oracle-fail ").to_string(),
         });
     }
     if lease_stats.granted == 0 {
@@ -475,19 +325,249 @@ pub fn run_lending_live(combo: &LendingLiveCombo) -> LendingLiveReport {
         }
     }
 
-    let completed = kv.completed_count();
-    let outstanding = leases.len() as u64;
     kernel.shutdown();
-    LendingLiveReport {
-        failures,
-        completed,
+    let report = LendingLiveReport {
+        completed: load.kv.completed_count(),
         lease_stats,
-        outstanding,
+        outstanding: leases.len() as u64,
         rm_restarts,
         reclaim_spans,
         wall_ns: started.elapsed().as_nanos(),
+    };
+    let s = &report.lease_stats;
+    let summary = format!(
+        "completed={} granted={} returned={} expired={} borrower-deaths={} \
+         lender-deaths={} outstanding={} rm-restarts={} reclaim-p99={} wall={:.2} s",
+        report.completed,
+        s.granted,
+        s.returned,
+        s.expired,
+        s.borrower_deaths,
+        s.lender_deaths,
+        report.outstanding,
+        report.rm_restarts,
+        percentile(&report.reclaim_spans, 0.99)
+            .map(|ns| format!("{:.2} ms", ns as f64 / 1e6))
+            .unwrap_or_else(|| "-".into()),
+        report.wall_ns as f64 / 1e9,
+    );
+    Outcome {
+        lines: vec![summary],
+        failures: failures.iter().map(Failure::to_string).collect(),
         records,
+        sample: report,
     }
+}
+
+/// The `--lending` sweep: the four control-plane fault rows x
+/// protected-enclave policies on the simulated two-enclave RM harness.
+/// Deterministic (parallel, cached, digested) but unshrunk: a scenario
+/// has no parts to drop. Repros are tagged `"kind": "lending"`; the
+/// digest label and cache key are the scenario's own. Bench rows: one
+/// sim `lease-reclaim-<policy>` row per swept policy.
+#[derive(Debug, Clone, Copy)]
+pub struct LendingSweep;
+
+impl Sweep for LendingSweep {
+    type Case = LendingScenario;
+    type Sample = ();
+    const KIND: Option<&'static str> = Some("lending");
+    const DEFAULT_COMBOS: u64 = 16;
+    const DETERMINISTIC: bool = true;
+    const BENCH: bool = true;
+
+    /// The protected (borrowing) enclave's policies: the two
+    /// centralized schedulers, one FIFO and one preemptive — enough to
+    /// show the lending machinery is policy-agnostic without paying for
+    /// the whole evaluation matrix per fault row.
+    fn policies(&self) -> Vec<PolicyKind> {
+        vec![PolicyKind::CentralizedFifo, PolicyKind::Shinjuku]
+    }
+
+    /// Policy rotates fastest, then the four fault rows, always on the
+    /// diurnal workload — the shape that reliably drives the RM to
+    /// lend, so every fault lands on a system with lease traffic.
+    fn generate(&self, i: u64, seed_base: u64, policies: &[PolicyKind]) -> LendingScenario {
+        let faults = LendingFault::all();
+        let fault = faults[((i / policies.len() as u64) % faults.len() as u64) as usize];
+        LendingScenario::new(
+            rotate(policies, i),
+            LendingWorkload::Diurnal,
+            fault,
+            seed_base + i,
+            LENDING_HORIZON,
+        )
+    }
+
+    fn label(&self, sc: &LendingScenario) -> String {
+        sc.name.clone()
+    }
+
+    fn spec(&self, sc: &LendingScenario) -> String {
+        sc.spec_string()
+    }
+
+    /// The scenario reports each failure as a trailing `oracle-fail ...`
+    /// result line; those become the outcome's failures.
+    fn run(&self, sc: &LendingScenario) -> Outcome {
+        let (result, records) = sc.run_traced();
+        let mut lines = result.lines;
+        let first_failure = lines
+            .iter()
+            .position(|l| l.starts_with("oracle-fail "))
+            .unwrap_or(lines.len());
+        let failures = lines.split_off(first_failure);
+        Outcome {
+            lines,
+            failures,
+            records,
+            sample: (),
+        }
+    }
+
+    fn encode(&self, sc: &LendingScenario) -> String {
+        repro::document(
+            Self::KIND,
+            &[
+                ("policy", repro::string(sc.policy.name())),
+                ("workload", repro::string(sc.workload.name())),
+                ("fault", repro::string(sc.fault.name())),
+                ("seed", repro::string(&sc.seed.to_string())),
+                ("horizon", sc.horizon.to_string()),
+            ],
+        )
+    }
+
+    fn decode(&self, doc: &Json) -> Result<LendingScenario, String> {
+        let workload = repro::field_str(doc, "workload")?;
+        let workload = LendingWorkload::from_name(workload)
+            .ok_or_else(|| format!("unknown lending workload '{workload}'"))?;
+        Ok(LendingScenario::new(
+            repro::policy(doc, "policy", |_| true)?,
+            workload,
+            lending_fault(doc)?,
+            repro::seed(doc)?,
+            repro::field_u64(doc, "horizon")?,
+        ))
+    }
+
+    fn bench_rows(
+        &self,
+        policies: &[PolicyKind],
+        seed_base: u64,
+        _: Vec<(LendingScenario, ())>,
+    ) -> Vec<BenchRow> {
+        lease_reclaim_rows(policies, seed_base)
+    }
+}
+
+/// The `--lending-live` sweep: the lending fault rows at wall-clock
+/// marks on the real-thread backend, serial and unshrunk like
+/// [`crate::live::LiveSweep`]. Repros are tagged `"kind":
+/// "lending-live"`. Bench rows: one live `lease-reclaim-<policy>` row
+/// per policy that measured a reclaim, with percentiles over the
+/// sweep's pooled revoke-to-reclaim spans.
+#[derive(Debug, Clone, Copy)]
+pub struct LendingLiveSweep;
+
+impl Sweep for LendingLiveSweep {
+    type Case = LendingLiveCombo;
+    type Sample = LendingLiveReport;
+    const KIND: Option<&'static str> = Some("lending-live");
+    const DEFAULT_COMBOS: u64 = 4;
+    const DETERMINISTIC: bool = false;
+    const BENCH: bool = true;
+
+    fn policies(&self) -> Vec<PolicyKind> {
+        live_policies()
+    }
+
+    fn generate(&self, i: u64, seed_base: u64, policies: &[PolicyKind]) -> LendingLiveCombo {
+        LendingLiveCombo::generated(rotate(policies, i), seed_base + i)
+    }
+
+    fn label(&self, combo: &LendingLiveCombo) -> String {
+        format!(
+            "policy={} seed={} fault={}",
+            combo.policy.name(),
+            combo.seed,
+            combo.fault.name()
+        )
+    }
+
+    fn run(&self, combo: &LendingLiveCombo) -> Outcome<LendingLiveReport> {
+        run_lending_live(combo)
+    }
+
+    fn encode(&self, combo: &LendingLiveCombo) -> String {
+        repro::document(
+            Self::KIND,
+            &[
+                ("policy", repro::string(combo.policy.name())),
+                ("fault", repro::string(combo.fault.name())),
+                ("seed", repro::string(&combo.seed.to_string())),
+                ("requests", combo.requests.to_string()),
+            ],
+        )
+    }
+
+    fn decode(&self, doc: &Json) -> Result<LendingLiveCombo, String> {
+        Ok(LendingLiveCombo {
+            policy: repro::policy(doc, "policy", |p| live_policies().contains(&p))?,
+            fault: lending_fault(doc)?,
+            seed: repro::seed(doc)?,
+            requests: repro::field_u64(doc, "requests")?,
+        })
+    }
+
+    fn bench_rows(
+        &self,
+        _policies: &[PolicyKind],
+        _seed_base: u64,
+        runs: Vec<(LendingLiveCombo, LendingLiveReport)>,
+    ) -> Vec<BenchRow> {
+        let mut by_policy: BTreeMap<&'static str, (Vec<u64>, u128)> = BTreeMap::new();
+        for (combo, report) in &runs {
+            let (spans, wall) = by_policy.entry(combo.policy.name()).or_default();
+            spans.extend(&report.reclaim_spans);
+            *wall += report.wall_ns;
+        }
+        by_policy
+            .into_iter()
+            .filter(|(_, (spans, _))| !spans.is_empty())
+            .map(|(name, (spans, wall_ns))| BenchRow {
+                name: format!("lease-reclaim-{name}"),
+                backend: "live",
+                wall_ns,
+                sim_ns: None,
+                work_items: spans.len() as u64,
+                score: Some(ScoreCols {
+                    p50_ns: percentile(&spans, 0.5).unwrap_or(0),
+                    p99_ns: percentile(&spans, 0.99).unwrap_or(0),
+                    p999_ns: percentile(&spans, 0.999).unwrap_or(0),
+                    slo_violations: 0,
+                    recovery_ns: None,
+                    points: 0,
+                }),
+            })
+            .collect()
+    }
+}
+
+fn lending_fault(doc: &Json) -> Result<LendingFault, String> {
+    let name = repro::field_str(doc, "fault")?;
+    LendingFault::from_name(name).ok_or_else(|| format!("unknown lending fault '{name}'"))
+}
+
+/// Nearest-rank percentile over an unsorted span list.
+fn percentile(spans: &[u64], q: f64) -> Option<u64> {
+    if spans.is_empty() {
+        return None;
+    }
+    let mut sorted = spans.to_vec();
+    sorted.sort_unstable();
+    let rank = ((q * sorted.len() as f64).ceil() as usize).clamp(1, sorted.len());
+    Some(sorted[rank - 1])
 }
 
 #[cfg(test)]
@@ -496,10 +576,10 @@ mod tests {
 
     #[test]
     fn combo_generation_rotates_policies_and_faults() {
-        let policies = lending_policies();
+        let policies = LendingSweep.policies();
         let seen: std::collections::BTreeSet<_> = (0..8)
             .map(|i| {
-                let sc = lending_combo(i, 100, &policies);
+                let sc = LendingSweep.generate(i, 100, &policies);
                 assert_eq!(sc.seed, 100 + i);
                 (sc.policy.name(), sc.fault.name())
             })

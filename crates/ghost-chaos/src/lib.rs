@@ -17,54 +17,58 @@
 //!   checker (Tseq/Aseq continuity, commit pairing, occupancy) plus
 //!   liveness oracles (no thread starved past the watchdog bound,
 //!   fallback-to-CFS completes, the run made progress).
-//! * [`shrink`] — greedily minimizes a failing fault plan to a
-//!   1-minimal repro.
+//! * `shrink` — greedily minimizes a failing case (fault plan or
+//!   hostile op sequence) to a 1-minimal repro.
 //! * [`byzantine`] — a seeded adversary issuing hostile ABI call
 //!   sequences (forged CPUs/tids/seqnums, commit-after-destroy, queue
 //!   misconfiguration, status-word writes) from a co-resident malicious
 //!   enclave, judged by never-panic, typed-rejection, and
 //!   victim-liveness oracles.
-//! * [`repro`] — serializes a combo to `repro.json` and parses it back
-//!   for bit-identical deterministic replay.
 //! * [`live`] — the same fault plans injected into the `ghost-live`
 //!   real-thread backend, judged by wall-clock oracles (grace-windowed
 //!   invariants, stranded-worker liveness, bounded wall-clock recovery,
 //!   post-recovery reclaim). Live runs are not bit-reproducible, so
 //!   failures capture `repro.json` (plan + seed + shape) instead of
 //!   shrinking.
+//! * [`lending`] — multi-enclave core lending under control-plane faults
+//!   (RM crash, borrower crash, revoke during reconstruction, deadline
+//!   stress), on the simulated RM harness and on real threads, judged by
+//!   the no-stranded-lease and grant-accounting oracles.
+//! * `repro` — the shared pieces of the kind-tagged `repro.json`
+//!   codecs (seeds as decimal strings, fault plans, field readers).
+//! * [`sweep`] — the [`Sweep`] trait every mode implements (generate →
+//!   run and judge → shrink → encode/decode) and the one driver that
+//!   runs any mode: deterministic modes on the parallel `ghost-lab`
+//!   engine, live modes serially; [`MODES`] maps CLI flags, and
+//!   [`mode_of`] repro `kind` tags, to modes.
 //!
-//! The `ghost-chaos` binary sweeps N combos across all five evaluation
-//! policies and, on failure, writes `repro.json` plus a Chrome trace of
-//! the shrunk repro.
+//! The `ghost-chaos` binary picks one mode and drives it: sweep N
+//! cases and, on failure, write `repro-<i>.json` plus a Chrome trace;
+//! or `--replay` one repro under the mode its `kind` tag names.
 
 pub mod byzantine;
 pub mod lending;
 pub mod live;
 pub mod oracle;
 pub mod plan;
-pub mod repro;
+mod repro;
 pub mod run;
-pub mod shrink;
+mod shrink;
+pub mod sweep;
 
-pub use byzantine::{
-    generate_byz_ops, run_byzantine, shrink_byzantine, ByzCombo, ByzExperiment, ByzOp, ByzReport,
-};
+pub use byzantine::{generate_byz_ops, run_byzantine, ByzCombo, ByzOp, ByzReport, ByzantineSweep};
 pub use lending::{
-    lending_combo, lending_live_policies, lending_policies, run_lending_live, LendingLiveCombo,
-    LendingLiveReport, LENDING_HORIZON,
+    run_lending_live, LendingLiveCombo, LendingLiveReport, LendingLiveSweep, LendingSweep,
+    LENDING_HORIZON,
 };
 pub use live::{
-    generate_live_plan, live_policies, run_live_combo, LiveCombo, LiveRunReport, LIVE_WATCHDOG,
-    RECOVERY_WALL_SLO,
+    generate_live_plan, live_policies, run_live_combo, LiveCombo, LiveRunReport, LiveSweep,
+    LIVE_WATCHDOG, RECOVERY_WALL_SLO,
 };
 pub use oracle::Failure;
 pub use plan::generate_plan;
-pub use repro::{
-    byz_from_json, byz_to_json, combo_from_json, combo_to_json, lending_from_json,
-    lending_live_from_json, lending_live_to_json, lending_to_json, live_from_json, live_to_json,
-};
-pub use run::{run_combo, Combo, ComboExperiment, PolicyKind, RunReport, WATCHDOG};
-pub use shrink::shrink;
+pub use run::{run_combo, Combo, FaultSweep, PolicyKind, RunReport, WATCHDOG};
+pub use sweep::{mode_of, replay, Driver, Outcome, Sweep, SweepExperiment, SweepOpts, MODES};
 
 // Re-exported so `for_seeds!` works without the caller depending on the
 // vendored rand crate or the engine crate directly.

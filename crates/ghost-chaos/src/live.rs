@@ -26,18 +26,23 @@
 //! * **progress** / **live-timeout** — the KV loop completed, and every
 //!   admitted request terminated as completed, shed, or failed.
 
-use crate::oracle::Failure;
-use ghost_core::StandbyConfig;
+use crate::oracle::{recovery_spans, trace_failures, Failure};
+use crate::repro;
+use crate::sweep::{rotate, Outcome, Sweep};
+use ghost_core::{EnclaveHandle, EnclaveId, GhostRuntime, StandbyConfig};
+use ghost_lab::bench::BenchRow;
 use ghost_live::{DegradedLimits, KvService, LiveConfig, LiveKernel, LiveStats};
 use ghost_sim::faults::{FaultEvent, FaultKind, FaultPlan};
-use ghost_sim::thread::{ThreadKind, ThreadState};
+use ghost_sim::thread::{ThreadKind, ThreadState, Tid};
 use ghost_sim::time::{Nanos, MICROS, MILLIS, SECS};
 use ghost_sim::topology::CpuId;
 use ghost_sim::{CpuSet, CLASS_CFS, CLASS_GHOST};
-use ghost_trace::check::{self, LIVE_GRACE_NS};
-use ghost_trace::{TraceEvent, TraceRecord, TraceSink};
+use ghost_trace::check::LIVE_GRACE_NS;
+use ghost_trace::json::Json;
+use ghost_trace::{TraceRecord, TraceSink};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
+use std::collections::BTreeSet;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -155,10 +160,8 @@ pub fn generate_live_plan(seed: u64, cpus: &[CpuId]) -> FaultPlan {
     FaultPlan { events }
 }
 
-/// Everything a finished live run exposes to the CLI and tests.
+/// The counters of a finished live run, beside its [`Outcome`].
 pub struct LiveRunReport {
-    /// Oracle verdicts; empty means the run survived its fault plan.
-    pub failures: Vec<Failure>,
     /// KV requests completed / shed at admission / failed after retries.
     pub completed: u64,
     pub shed: u64,
@@ -172,28 +175,145 @@ pub struct LiveRunReport {
     pub recovery_wall_ns: Option<Nanos>,
     /// Wall-clock duration of the whole run.
     pub wall_ns: u128,
-    /// The recorded trace (for Chrome export of failing runs).
-    pub records: Vec<TraceRecord>,
 }
 
-/// Measured `RecoveryStart` → first subsequent `ReconstructDone` gap.
-fn recovery_wall(records: &[TraceRecord]) -> Option<Nanos> {
-    let start = records
-        .iter()
-        .find(|r| matches!(r.event, TraceEvent::RecoveryStart { .. }))
-        .map(|r| r.ts)?;
-    records
-        .iter()
-        .filter(|r| matches!(r.event, TraceEvent::ReconstructDone { .. }))
-        .map(|r| r.ts)
-        .find(|&done| done >= start)
-        .map(|done| done - start)
+/// Launches `policy` on `cpus` under the live watchdog. With `standby`,
+/// a hot standby respawns a crashed agent: three respawns 100 ms apart,
+/// recovery bounded by [`RECOVERY_WALL_SLO`].
+pub(crate) fn launch(
+    kernel: &LiveKernel,
+    policy: PolicyKind,
+    name: &str,
+    cpus: CpuSet,
+    standby: bool,
+) -> EnclaveHandle {
+    let mut config = policy.enclave_config(name).with_watchdog(LIVE_WATCHDOG);
+    if standby {
+        config = config.with_standby(StandbyConfig {
+            max_respawns: 3,
+            respawn_backoff: 100 * MILLIS,
+            recovery_slo: RECOVERY_WALL_SLO,
+        });
+    }
+    let enclave = kernel.launch_enclave(cpus, config, policy.build());
+    if standby {
+        enclave.set_standby_policy(move || policy.build());
+    }
+    enclave
+}
+
+/// Waits up to 10 s for the §3.4 machinery to finish a recovery on
+/// `enclave` (or for the enclave to die) before a run is judged.
+pub(crate) fn await_recovery(rt: &GhostRuntime, enclave: &EnclaveHandle) {
+    let rescue = Instant::now() + Duration::from_secs(10);
+    while rt.stats().recoveries < 1 && Instant::now() < rescue && enclave.alive() {
+        std::thread::sleep(Duration::from_millis(5));
+    }
+}
+
+/// The closed-loop KV load both live sweeps serve: one KV worker per
+/// lane attached to the enclave under test, two requests in flight per
+/// worker, degraded-mode limits that shed and retry.
+pub(crate) struct KvLoad {
+    pub(crate) kv: Arc<KvService>,
+    workers: Vec<Tid>,
+    requests: u64,
+}
+
+impl KvLoad {
+    /// Spawns `workers` KV threads into `enclave` and starts `requests`
+    /// closed-loop requests.
+    pub(crate) fn start(
+        kernel: &LiveKernel,
+        enclave: &EnclaveHandle,
+        name: &str,
+        workers: usize,
+        requests: u64,
+    ) -> Self {
+        let kv = KvService::with_limits(
+            16,
+            LIVE_SERVICE_NS,
+            DegradedLimits {
+                request_timeout: 50 * MILLIS,
+                max_retries: 3,
+                retry_backoff: MILLIS,
+                shed_depth: 2,
+            },
+        );
+        let workers: Vec<Tid> = (0..workers)
+            .map(|i| kernel.spawn_kv_worker(&format!("{name}-{i}"), Arc::clone(&kv)))
+            .collect();
+        for &tid in &workers {
+            kernel.attach(enclave, tid);
+        }
+        kv.start_closed_loop(requests, 2 * workers.len() as u64, kernel.now());
+        for &tid in &workers {
+            kernel.wake(tid);
+        }
+        Self {
+            kv,
+            workers,
+            requests,
+        }
+    }
+
+    /// Serves the load until every admitted request has terminated and
+    /// `schedule` (called once per tick) reports its fault schedule
+    /// done, or the 60 s deadline passes (`live-timeout`). Each tick
+    /// mirrors the enclave's degraded mode into load shedding, pumps
+    /// retry backoffs, and kicks a blocked worker if work is queued.
+    pub(crate) fn supervise(
+        &self,
+        kernel: &LiveKernel,
+        eid: EnclaveId,
+        failures: &mut Vec<Failure>,
+        mut schedule: impl FnMut(&mut Vec<Failure>) -> bool,
+    ) {
+        let deadline = Instant::now() + Duration::from_secs(60);
+        loop {
+            let scheduled = schedule(failures);
+            if self.kv.accounted_count() >= self.requests && scheduled {
+                break;
+            }
+            if Instant::now() > deadline {
+                failures.push(Failure {
+                    oracle: "live-timeout",
+                    detail: format!(
+                        "closed loop stalled at {}/{} accounted requests",
+                        self.kv.accounted_count(),
+                        self.requests
+                    ),
+                });
+                break;
+            }
+            self.kv.set_degraded(kernel.runtime().enclave_degraded(eid));
+            self.kv.pump_delayed(kernel.now());
+            if self.kv.depth() > 0 {
+                kernel.wake_one_blocked(&self.workers);
+            }
+            std::thread::sleep(Duration::from_millis(1));
+        }
+        self.kv.set_degraded(false);
+    }
+
+    /// The oracles every live run shares: the trace oracles inside the
+    /// live grace window, and at least one completed request.
+    pub(crate) fn judge(&self, records: &[TraceRecord], dropped: u64) -> Vec<Failure> {
+        let mut failures = trace_failures(records, dropped, LIVE_GRACE_NS);
+        if self.kv.completed_count() == 0 {
+            failures.push(Failure {
+                oracle: "progress",
+                detail: "no KV request completed over the whole run".to_string(),
+            });
+        }
+        failures
+    }
 }
 
 /// Runs `combo` on the live backend and evaluates the wall-clock
 /// oracles. Takes real time (roughly the fault windows plus the KV
 /// service time); the verdict — not the timing — is what repeats.
-pub fn run_live_combo(combo: &LiveCombo) -> LiveRunReport {
+pub fn run_live_combo(combo: &LiveCombo) -> Outcome<LiveRunReport> {
     let started = Instant::now();
     let sink = TraceSink::recording(combo.cpus, 1 << 20);
     let kernel = LiveKernel::new(LiveConfig {
@@ -203,126 +323,60 @@ pub fn run_live_combo(combo: &LiveCombo) -> LiveRunReport {
         ..LiveConfig::default()
     });
     let crash = combo.injects_crash();
-    let mut config = combo
-        .policy
-        .enclave_config(&format!("chaos-live-{}", combo.seed))
-        .with_watchdog(LIVE_WATCHDOG);
-    if crash {
-        config = config.with_standby(StandbyConfig {
-            max_respawns: 3,
-            respawn_backoff: 100 * MILLIS,
-            recovery_slo: RECOVERY_WALL_SLO,
-        });
-    }
-    let enclave = kernel.launch_enclave(CpuSet::first_n(combo.cpus), config, combo.policy.build());
-    if crash {
-        let policy = combo.policy;
-        enclave.set_standby_policy(move || policy.build());
-    }
-
-    let kv = KvService::with_limits(
-        16,
-        LIVE_SERVICE_NS,
-        DegradedLimits {
-            request_timeout: 50 * MILLIS,
-            max_retries: 3,
-            retry_backoff: MILLIS,
-            shed_depth: 2,
-        },
+    let enclave = launch(
+        &kernel,
+        combo.policy,
+        &format!("chaos-live-{}", combo.seed),
+        CpuSet::first_n(combo.cpus),
+        crash,
     );
-    let workers: Vec<_> = (0..combo.cpus)
-        .map(|i| kernel.spawn_kv_worker(&format!("chaos-kv-{i}"), Arc::clone(&kv)))
-        .collect();
-    for &tid in &workers {
-        kernel.attach(&enclave, tid);
-    }
-    kv.start_closed_loop(combo.requests, 2 * workers.len() as u64, kernel.now());
-    for &tid in &workers {
-        kernel.wake(tid);
-    }
-
+    let load = KvLoad::start(&kernel, &enclave, "chaos-kv", combo.cpus, combo.requests);
     let mut failures = Vec::new();
-    let eid = enclave.id();
-
-    // Supervise: mirror degraded mode into the KV service (load
-    // shedding while the enclave is in failover), pump retry backoffs,
-    // and kick blocked workers — until every admitted request has
-    // terminated or the deadline passes.
-    let deadline = Instant::now() + Duration::from_secs(60);
-    while kv.accounted_count() < combo.requests {
-        if Instant::now() > deadline {
-            failures.push(Failure {
-                oracle: "live-timeout",
-                detail: format!(
-                    "closed loop stalled at {}/{} accounted requests",
-                    kv.accounted_count(),
-                    combo.requests
-                ),
-            });
-            break;
-        }
-        kv.set_degraded(kernel.runtime().enclave_degraded(eid));
-        kv.pump_delayed(kernel.now());
-        if kv.depth() > 0 {
-            kernel.wake_one_blocked(&workers);
-        }
-        std::thread::sleep(Duration::from_millis(1));
-    }
-    kv.set_degraded(false);
+    load.supervise(&kernel, enclave.id(), &mut failures, |_| true);
 
     // Crash combos: wait for the §3.4 machinery to finish before
     // judging — the respawned agent must reconstruct and reclaim even
     // if the workload already drained on the surviving lanes.
     if crash {
-        let rescue = Instant::now() + Duration::from_secs(10);
-        loop {
-            let stats = kernel.runtime().stats();
-            if stats.recoveries >= 1 || Instant::now() > rescue || !enclave.alive() {
-                break;
-            }
-            std::thread::sleep(Duration::from_millis(5));
-        }
+        await_recovery(kernel.runtime(), &enclave);
     }
 
     let stats = kernel.runtime().stats();
     let records = sink.snapshot();
-    let recovery_wall_ns = recovery_wall(&records);
-
-    if sink.dropped() > 0 {
-        failures.push(Failure {
-            oracle: "trace-lossless",
-            detail: format!(
-                "trace ring dropped {} records; grow the capacity",
-                sink.dropped()
-            ),
-        });
-    }
-    for v in check::check_with_grace(&records, LIVE_GRACE_NS) {
-        failures.push(Failure {
-            oracle: "trace-invariant",
-            detail: v.to_string(),
-        });
-    }
-    if kv.completed_count() == 0 {
-        failures.push(Failure {
-            oracle: "progress",
-            detail: "no KV request completed over the whole run".to_string(),
-        });
-    }
+    // The measured gap from the first `RecoveryStart` to its
+    // `ReconstructDone`.
+    let recovery_wall_ns = recovery_spans(&records)
+        .first()
+        .and_then(|&(start, done)| Some(done? - start));
+    failures.extend(load.judge(&records, sink.dropped()));
 
     // Liveness: nobody left stranded. A workload thread still runnable
-    // in the ghOSt class at end of run has an agent that never came
-    // back for it.
-    for (tid, th) in kernel.thread_snapshots() {
-        if th.kind == ThreadKind::Workload
-            && th.state == ThreadState::Runnable
-            && th.class == CLASS_GHOST
-        {
-            failures.push(Failure {
-                oracle: "live-stranded",
-                detail: format!("thread {tid} left runnable in the ghOSt class at end of run"),
-            });
+    // in the ghOSt class once the live grace window has passed has an
+    // agent that never came back for it. (The load can drain just as a
+    // worker is woken; a slowed agent then dispatches it a few hundred
+    // microseconds later, which is not a strand.)
+    let grace = Instant::now() + Duration::from_nanos(LIVE_GRACE_NS);
+    let stranded = loop {
+        let stranded: Vec<Tid> = kernel
+            .thread_snapshots()
+            .into_iter()
+            .filter(|(_, th)| {
+                th.kind == ThreadKind::Workload
+                    && th.state == ThreadState::Runnable
+                    && th.class == CLASS_GHOST
+            })
+            .map(|(tid, _)| tid)
+            .collect();
+        if stranded.is_empty() || Instant::now() > grace {
+            break stranded;
         }
+        std::thread::sleep(Duration::from_millis(1));
+    };
+    for tid in stranded {
+        failures.push(Failure {
+            oracle: "live-stranded",
+            detail: format!("thread {tid} left runnable in the ghOSt class at end of run"),
+        });
     }
 
     if crash {
@@ -367,19 +421,127 @@ pub fn run_live_combo(combo: &LiveCombo) -> LiveRunReport {
         }
     }
 
-    let degraded = kv.degraded_stats();
+    let degraded = load.kv.degraded_stats();
     let live = kernel.stats();
     kernel.shutdown();
-    LiveRunReport {
-        failures,
-        completed: kv.completed_count(),
+    let report = LiveRunReport {
+        completed: load.kv.completed_count(),
         shed: degraded.shed,
         failed: degraded.failed,
         stats,
         live,
         recovery_wall_ns,
         wall_ns: started.elapsed().as_nanos(),
+    };
+    let summary = format!(
+        "completed={} shed={} failed={} respawns={} reconstructions={} recovery={} wall={:.2} s",
+        report.completed,
+        report.shed,
+        report.failed,
+        report.stats.respawns,
+        report.stats.reconstructions,
+        report
+            .recovery_wall_ns
+            .map(|ns| format!("{:.1} ms", ns as f64 / 1e6))
+            .unwrap_or_else(|| "-".into()),
+        report.wall_ns as f64 / 1e9,
+    );
+    Outcome {
+        lines: vec![summary],
+        failures: failures.iter().map(Failure::to_string).collect(),
         records,
+        sample: report,
+    }
+}
+
+/// The `--live` sweep: generated fault plans on the real-thread
+/// backend, serial and unshrunk. Repros are tagged `"kind": "live"`.
+/// Bench rows: one `chaos-recovery-<policy>` row per recovered crash and
+/// one `chaos-degraded-shed` row totalling requests shed over the sweep.
+#[derive(Debug, Clone, Copy)]
+pub struct LiveSweep;
+
+impl Sweep for LiveSweep {
+    type Case = LiveCombo;
+    type Sample = LiveRunReport;
+    const KIND: Option<&'static str> = Some("live");
+    const DEFAULT_COMBOS: u64 = 6;
+    const DETERMINISTIC: bool = false;
+    const BENCH: bool = true;
+
+    fn policies(&self) -> Vec<PolicyKind> {
+        live_policies()
+    }
+
+    fn generate(&self, i: u64, seed_base: u64, policies: &[PolicyKind]) -> LiveCombo {
+        LiveCombo::generated(rotate(policies, i), seed_base + i)
+    }
+
+    fn label(&self, combo: &LiveCombo) -> String {
+        let kinds: BTreeSet<&str> = combo.plan.events.iter().map(|fe| fe.kind.name()).collect();
+        let kinds: Vec<&str> = kinds.into_iter().collect();
+        format!(
+            "policy={} seed={} fault={}",
+            combo.policy.name(),
+            combo.seed,
+            kinds.join("+")
+        )
+    }
+
+    fn run(&self, combo: &LiveCombo) -> Outcome<LiveRunReport> {
+        run_live_combo(combo)
+    }
+
+    fn encode(&self, combo: &LiveCombo) -> String {
+        repro::document(
+            Self::KIND,
+            &[
+                ("policy", repro::string(combo.policy.name())),
+                ("seed", repro::string(&combo.seed.to_string())),
+                ("requests", combo.requests.to_string()),
+                ("cpus", combo.cpus.to_string()),
+                ("plan", repro::plan_to_json(&combo.plan)),
+            ],
+        )
+    }
+
+    fn decode(&self, doc: &Json) -> Result<LiveCombo, String> {
+        Ok(LiveCombo {
+            policy: repro::policy(doc, "policy", |p| live_policies().contains(&p))?,
+            seed: repro::seed(doc)?,
+            plan: repro::plan_from_json(doc)?,
+            requests: repro::field_u64(doc, "requests")?,
+            cpus: repro::field_u64(doc, "cpus")? as usize,
+        })
+    }
+
+    fn bench_rows(
+        &self,
+        _policies: &[PolicyKind],
+        _seed_base: u64,
+        runs: Vec<(LiveCombo, LiveRunReport)>,
+    ) -> Vec<BenchRow> {
+        let mut rows: Vec<BenchRow> = runs
+            .iter()
+            .filter_map(|(combo, r)| {
+                let ns = r.recovery_wall_ns?;
+                Some(BenchRow::measured(
+                    format!("chaos-recovery-{}", combo.policy.name()),
+                    "live",
+                    ns as u128,
+                    None,
+                    r.stats.respawns,
+                ))
+            })
+            .collect();
+        rows.push(BenchRow::measured(
+            "chaos-degraded-shed",
+            "live",
+            runs.iter().map(|(_, r)| r.wall_ns).sum::<u128>().max(1),
+            None,
+            runs.iter().map(|(_, r)| r.shed).sum(),
+        ));
+        rows
     }
 }
 

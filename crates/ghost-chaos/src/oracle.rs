@@ -38,6 +38,46 @@ impl fmt::Display for Failure {
     }
 }
 
+/// The trace oracles every run shares: the recorder dropped nothing
+/// (the checker needs a lossless stream to verify ordering invariants),
+/// and the `ghost-trace` checker passes within `grace_ns`.
+pub(crate) fn trace_failures(
+    records: &[TraceRecord],
+    dropped: u64,
+    grace_ns: Nanos,
+) -> Vec<Failure> {
+    let mut failures = Vec::new();
+    if dropped > 0 {
+        failures.push(Failure {
+            oracle: "trace-lossless",
+            detail: format!("trace ring dropped {dropped} records; grow the capacity"),
+        });
+    }
+    for v in check::check_with_grace(records, grace_ns) {
+        failures.push(Failure {
+            oracle: "trace-invariant",
+            detail: v.to_string(),
+        });
+    }
+    failures
+}
+
+/// Every `RecoveryStart` in the trace, paired with the first
+/// `ReconstructDone` at or after it (`None` if recovery never finished).
+pub(crate) fn recovery_spans(records: &[TraceRecord]) -> Vec<(Nanos, Option<Nanos>)> {
+    let at = |r: &TraceRecord, start: bool| match r.event {
+        TraceEvent::RecoveryStart { .. } if start => Some(r.ts),
+        TraceEvent::ReconstructDone { .. } if !start => Some(r.ts),
+        _ => None,
+    };
+    let dones: Vec<Nanos> = records.iter().filter_map(|r| at(r, false)).collect();
+    records
+        .iter()
+        .filter_map(|r| at(r, true))
+        .map(|start| (start, dones.iter().copied().find(|&d| d >= start)))
+        .collect()
+}
+
 /// Judges a finished run. Returns every violated contract; an empty
 /// vector means the run survived its fault plan. When the run armed a
 /// hot standby, `recovery_slo` carries its bound and enables the
@@ -53,25 +93,10 @@ pub fn evaluate(
     completions: u64,
     recovery_slo: Option<Nanos>,
 ) -> Vec<Failure> {
-    let mut failures = Vec::new();
-
-    // The checker needs a lossless stream to verify ordering invariants.
-    if trace_dropped > 0 {
-        failures.push(Failure {
-            oracle: "trace-lossless",
-            detail: format!("trace ring dropped {trace_dropped} records; grow the capacity"),
-        });
-    }
-
     // Safety: the full ghost-trace invariant suite (occupancy, runnable
     // switch-in, Tseq/Aseq continuity, commit pairing, wakeup liveness
     // with blackout excuses for watchdog/teardown windows).
-    for v in check::check(records) {
-        failures.push(Failure {
-            oracle: "trace-invariant",
-            detail: v.to_string(),
-        });
-    }
+    let mut failures = trace_failures(records, trace_dropped, check::DEFAULT_GRACE_NS);
 
     // Liveness: no workload thread starved past the watchdog bound. The
     // blackout excuse in the trace checker deliberately forgives wakeups
@@ -117,19 +142,10 @@ pub fn evaluate(
     // the enclave was (legitimately) destroyed, which the fallback
     // oracle above covers.
     if let Some(slo) = recovery_slo {
-        let starts: Vec<Nanos> = records
-            .iter()
-            .filter(|r| matches!(r.event, TraceEvent::RecoveryStart { .. }))
-            .map(|r| r.ts)
-            .collect();
-        let dones: Vec<Nanos> = records
-            .iter()
-            .filter(|r| matches!(r.event, TraceEvent::ReconstructDone { .. }))
-            .map(|r| r.ts)
-            .collect();
-        for &start in &starts {
-            match dones.iter().find(|&&d| d >= start) {
-                Some(&done) if done.saturating_sub(start) > slo => {
+        let spans = recovery_spans(records);
+        for &(start, done) in &spans {
+            match done {
+                Some(done) if done - start > slo => {
                     failures.push(Failure {
                         oracle: "recovery-slo",
                         detail: format!(
@@ -157,7 +173,7 @@ pub fn evaluate(
         // again — none left stranded on the transient CFS excursion.
         // Threads the commit governor shed to CFS are exempt (shedding
         // is deliberate), so only shed-free runs are checked.
-        if !starts.is_empty() && runtime.enclave_alive(enclave) && runtime.stats().estale_sheds == 0
+        if !spans.is_empty() && runtime.enclave_alive(enclave) && runtime.stats().estale_sheds == 0
         {
             for &tid in workload {
                 let th = k.thread(tid);

@@ -1,241 +1,131 @@
-//! Replayable repros: a failing [`Combo`] serialized to `repro.json` and
-//! parsed back for bit-identical replay (the simulation is deterministic,
-//! so the combo *is* the repro).
+//! Replayable repros: the shared pieces of every mode's `repro.json`
+//! codec. Each [`crate::sweep::Sweep`] encodes its case as one document
+//! tagged with the mode's `"kind"` (fault-plan combos predate the tag
+//! and carry none), and `--replay` reads the tag once to pick the mode.
 //!
 //! The format is hand-rolled JSON (the offline build has no serde);
-//! parsing reuses the `ghost-trace` JSON reader. The seed is encoded as a
-//! decimal string because the reader parses numbers as `f64`, which would
-//! silently round seeds above 2⁵³.
+//! parsing reuses the `ghost-trace` JSON reader. Seeds are encoded as
+//! decimal strings because the reader parses numbers as `f64`, which
+//! would silently round seeds above 2⁵³.
 
-use crate::byzantine::{ByzCombo, ByzOp};
-use crate::lending::LendingLiveCombo;
-use crate::live::LiveCombo;
-use crate::run::{Combo, PolicyKind};
-use ghost_lab::{LendingFault, LendingScenario, LendingWorkload};
+use crate::run::PolicyKind;
+use ghost_lab::scenario::fault_spec_line;
 use ghost_sim::faults::{FaultEvent, FaultKind, FaultPlan};
 use ghost_sim::topology::CpuId;
 use ghost_trace::json::{self, Json};
 
-fn repro_kind(input: &str) -> Option<String> {
-    json::parse(input)
-        .ok()
-        .and_then(|doc| doc.get("kind").and_then(|k| k.as_str().map(String::from)))
+/// Renders a repro document: the `kind` tag (if any) first, then one
+/// `"key": value` line per field. Values are already JSON text.
+pub(crate) fn document(kind: Option<&str>, fields: &[(&str, String)]) -> String {
+    let tag = kind.map(|k| ("kind", string(k)));
+    let lines: Vec<String> = tag
+        .iter()
+        .chain(fields)
+        .map(|(key, value)| format!("  \"{key}\": {value}"))
+        .collect();
+    format!("{{\n{}\n}}\n", lines.join(",\n"))
 }
 
-/// True if `input` is a byzantine-adversary repro (`"kind":
-/// "byzantine"`) rather than a fault-plan repro. Used by the CLI to
-/// dispatch `--replay`.
-pub fn is_byzantine_repro(input: &str) -> bool {
-    repro_kind(input).as_deref() == Some("byzantine")
+/// A JSON string literal.
+pub(crate) fn string(s: &str) -> String {
+    format!("\"{}\"", json::escape(s))
 }
 
-/// True if `input` is a live-backend repro (`"kind": "live"`). Used by
-/// the CLI to dispatch `--replay` onto the real-thread backend.
-pub fn is_live_repro(input: &str) -> bool {
-    repro_kind(input).as_deref() == Some("live")
-}
-
-/// True if `input` is a simulated lending repro (`"kind": "lending"`).
-pub fn is_lending_repro(input: &str) -> bool {
-    repro_kind(input).as_deref() == Some("lending")
-}
-
-/// True if `input` is a live lending repro (`"kind": "lending-live"`).
-pub fn is_lending_live_repro(input: &str) -> bool {
-    repro_kind(input).as_deref() == Some("lending-live")
-}
-
-/// Serializes a simulated lending scenario as a self-contained
-/// `repro.json` document (`"kind": "lending"`). The scenario is pure
-/// data over a deterministic simulation, so the combo *is* the repro.
-pub fn lending_to_json(sc: &LendingScenario) -> String {
-    format!(
-        "{{\n  \"kind\": \"lending\",\n  \"policy\": \"{}\",\n  \"workload\": \"{}\",\n  \
-         \"fault\": \"{}\",\n  \"seed\": \"{}\",\n  \"horizon\": {}\n}}\n",
-        json::escape(sc.policy.name()),
-        json::escape(sc.workload.name()),
-        json::escape(sc.fault.name()),
-        sc.seed,
-        sc.horizon
-    )
-}
-
-fn lending_policy(v: &Json, key: &str) -> Result<PolicyKind, String> {
-    let name = v
-        .get(key)
-        .and_then(Json::as_str)
-        .ok_or_else(|| format!("missing string field '{key}'"))?;
-    PolicyKind::from_name(name).ok_or_else(|| format!("unknown policy '{name}'"))
-}
-
-fn lending_fault(v: &Json) -> Result<LendingFault, String> {
-    let name = v
-        .get("fault")
-        .and_then(Json::as_str)
-        .ok_or("missing string field 'fault'")?;
-    LendingFault::from_name(name).ok_or_else(|| format!("unknown lending fault '{name}'"))
-}
-
-fn seed_str(v: &Json) -> Result<u64, String> {
-    v.get("seed")
-        .and_then(Json::as_str)
-        .ok_or("missing string field 'seed'")?
-        .parse::<u64>()
-        .map_err(|e| format!("bad seed: {e}"))
-}
-
-/// Parses a lending `repro.json` document back into a scenario.
-pub fn lending_from_json(input: &str) -> Result<LendingScenario, String> {
-    let doc = json::parse(input)?;
-    if doc.get("kind").and_then(Json::as_str) != Some("lending") {
-        return Err("not a lending repro (missing \"kind\": \"lending\")".into());
+/// A JSON array of pre-rendered items, one per line inside a document.
+pub(crate) fn array(items: impl IntoIterator<Item = String>) -> String {
+    let items: Vec<String> = items.into_iter().collect();
+    if items.is_empty() {
+        "[]".into()
+    } else {
+        format!("[\n    {}\n  ]", items.join(",\n    "))
     }
-    let workload_name = doc
-        .get("workload")
-        .and_then(Json::as_str)
-        .ok_or("missing string field 'workload'")?;
-    let workload = LendingWorkload::from_name(workload_name)
-        .ok_or_else(|| format!("unknown lending workload '{workload_name}'"))?;
-    Ok(LendingScenario::new(
-        lending_policy(&doc, "policy")?,
-        workload,
-        lending_fault(&doc)?,
-        seed_str(&doc)?,
-        field_u64(&doc, "horizon")?,
-    ))
 }
 
-/// Serializes a live lending combo (`"kind": "lending-live"`). Like all
-/// live repros the fault schedule replays exactly; the wall-clock
-/// interleaving around it is best-effort.
-pub fn lending_live_to_json(combo: &LendingLiveCombo) -> String {
-    format!(
-        "{{\n  \"kind\": \"lending-live\",\n  \"policy\": \"{}\",\n  \"fault\": \"{}\",\n  \
-         \"seed\": \"{}\",\n  \"requests\": {}\n}}\n",
-        json::escape(combo.policy.name()),
-        json::escape(combo.fault.name()),
-        combo.seed,
-        combo.requests
-    )
-}
-
-/// Parses a live lending `repro.json` document back into a combo.
-pub fn lending_live_from_json(input: &str) -> Result<LendingLiveCombo, String> {
-    let doc = json::parse(input)?;
-    if doc.get("kind").and_then(Json::as_str) != Some("lending-live") {
-        return Err("not a live lending repro (missing \"kind\": \"lending-live\")".into());
+/// The document's `kind` tag; `None` for an untagged fault-plan combo.
+pub(crate) fn kind(doc: &Json) -> Result<Option<&str>, String> {
+    match doc.get("kind") {
+        None => Ok(None),
+        Some(k) => k.as_str().map(Some).ok_or("'kind' is not a string".into()),
     }
-    let policy = lending_policy(&doc, "policy")?;
-    if !crate::lending::lending_live_policies().contains(&policy) {
-        return Err(format!(
-            "policy '{}' has no live lending sweep",
-            policy.name()
-        ));
-    }
-    Ok(LendingLiveCombo {
-        policy,
-        fault: lending_fault(&doc)?,
-        seed: seed_str(&doc)?,
-        requests: field_u64(&doc, "requests")?,
-    })
 }
 
-/// Serializes a combo as a self-contained `repro.json` document.
-pub fn combo_to_json(combo: &Combo) -> String {
-    let mut out = String::with_capacity(256);
-    out.push_str("{\n");
-    out.push_str(&format!(
-        "  \"policy\": \"{}\",\n",
-        json::escape(combo.policy.name())
-    ));
-    out.push_str(&format!("  \"seed\": \"{}\",\n", combo.seed));
-    out.push_str(&format!("  \"horizon\": {},\n", combo.horizon));
-    out.push_str(&format!("  \"threads\": {},\n", combo.threads));
-    out.push_str("  \"plan\": [");
-    for (i, fe) in combo.plan.events.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        out.push_str("\n    ");
-        out.push_str(&fault_to_json(fe));
+/// Fails unless the document is tagged `want`.
+pub(crate) fn expect_kind(doc: &Json, want: Option<&str>) -> Result<(), String> {
+    match kind(doc)? {
+        got if got == want => Ok(()),
+        got => Err(format!("repro kind is {got:?}, want {want:?}")),
     }
-    if !combo.plan.events.is_empty() {
-        out.push_str("\n  ");
-    }
-    out.push_str("]\n}\n");
-    out
 }
 
-fn fault_to_json(fe: &FaultEvent) -> String {
-    let body = match &fe.kind {
-        FaultKind::AgentCrash { cpu } => format!("\"kind\": \"agent-crash\", \"cpu\": {}", cpu.0),
-        FaultKind::AgentHang { cpu, dur } => {
-            format!(
-                "\"kind\": \"agent-hang\", \"cpu\": {}, \"dur\": {dur}",
-                cpu.0
-            )
-        }
-        FaultKind::AgentSlow { cpu, dur, factor } => format!(
-            "\"kind\": \"agent-slow\", \"cpu\": {}, \"dur\": {dur}, \"factor\": {factor}",
-            cpu.0
-        ),
-        FaultKind::QueueOverflow { dur } => {
-            format!("\"kind\": \"queue-overflow\", \"dur\": {dur}")
-        }
-        FaultKind::IpiDelay { dur, extra } => {
-            format!("\"kind\": \"ipi-delay\", \"dur\": {dur}, \"extra\": {extra}")
-        }
-        FaultKind::IpiLoss { dur } => format!("\"kind\": \"ipi-loss\", \"dur\": {dur}"),
-        FaultKind::SpuriousWakeup { nth } => {
-            format!("\"kind\": \"spurious-wakeup\", \"nth\": {nth}")
-        }
-        FaultKind::TickSkew { dur, extra } => {
-            format!("\"kind\": \"tick-skew\", \"dur\": {dur}, \"extra\": {extra}")
-        }
-        FaultKind::Upgrade => "\"kind\": \"upgrade\"".to_string(),
-    };
-    format!("{{\"at\": {}, {body}}}", fe.at)
-}
-
-/// Parses a `repro.json` document back into a combo.
-pub fn combo_from_json(input: &str) -> Result<Combo, String> {
-    let doc = json::parse(input)?;
-    let policy_name = doc
-        .get("policy")
-        .and_then(Json::as_str)
-        .ok_or("missing string field 'policy'")?;
-    let policy = PolicyKind::from_name(policy_name)
-        .ok_or_else(|| format!("unknown policy '{policy_name}'"))?;
-    let seed = doc
-        .get("seed")
-        .and_then(Json::as_str)
-        .ok_or("missing string field 'seed'")?
-        .parse::<u64>()
-        .map_err(|e| format!("bad seed: {e}"))?;
-    let horizon = field_u64(&doc, "horizon")?;
-    let threads = field_u64(&doc, "threads")? as usize;
-    let mut events = Vec::new();
-    for item in doc
-        .get("plan")
-        .and_then(Json::as_arr)
-        .ok_or("missing array field 'plan'")?
-    {
-        events.push(fault_from_json(item)?);
-    }
-    Ok(Combo {
-        policy,
-        seed,
-        plan: FaultPlan { events },
-        horizon,
-        threads,
-    })
-}
-
-fn field_u64(v: &Json, key: &str) -> Result<u64, String> {
+/// A required numeric field.
+pub(crate) fn field_u64(v: &Json, key: &str) -> Result<u64, String> {
     v.get(key)
         .and_then(Json::as_num)
         .map(|n| n as u64)
         .ok_or_else(|| format!("missing numeric field '{key}'"))
+}
+
+/// A required string field.
+pub(crate) fn field_str<'a>(v: &'a Json, key: &str) -> Result<&'a str, String> {
+    v.get(key)
+        .and_then(Json::as_str)
+        .ok_or_else(|| format!("missing string field '{key}'"))
+}
+
+/// The decimal-string `seed` field.
+pub(crate) fn seed(v: &Json) -> Result<u64, String> {
+    field_str(v, "seed")?
+        .parse::<u64>()
+        .map_err(|e| format!("bad seed: {e}"))
+}
+
+/// A policy field, restricted to the policies `allowed` accepts.
+pub(crate) fn policy(
+    v: &Json,
+    key: &str,
+    allowed: impl Fn(PolicyKind) -> bool,
+) -> Result<PolicyKind, String> {
+    let name = field_str(v, key)?;
+    PolicyKind::from_name(name)
+        .filter(|&p| allowed(p))
+        .ok_or_else(|| format!("unsupported {key} '{name}'"))
+}
+
+/// A fault plan as a JSON array, one event per line.
+pub(crate) fn plan_to_json(plan: &FaultPlan) -> String {
+    array(plan.events.iter().map(fault_to_json))
+}
+
+/// The document's `plan` array.
+pub(crate) fn plan_from_json(doc: &Json) -> Result<FaultPlan, String> {
+    let events = doc
+        .get("plan")
+        .and_then(Json::as_arr)
+        .ok_or("missing array field 'plan'")?
+        .iter()
+        .map(fault_from_json)
+        .collect::<Result<_, _>>()?;
+    Ok(FaultPlan { events })
+}
+
+/// Renders a `name k=v ...` spec line as one JSON object: the bare word
+/// becomes `"name_key": "name"` and each `k=v` a field, numeric unless
+/// `k` is one of the `quoted` (decimal-string) keys.
+pub(crate) fn spec_to_json(spec: &str, name_key: &str, quoted: &[&str]) -> String {
+    let fields: Vec<String> = spec
+        .split(' ')
+        .map(|word| match word.split_once('=') {
+            Some((k, v)) if quoted.contains(&k) => format!("\"{k}\": \"{v}\""),
+            Some((k, v)) => format!("\"{k}\": {v}"),
+            None => format!("\"{name_key}\": \"{word}\""),
+        })
+        .collect();
+    format!("{{{}}}", fields.join(", "))
+}
+
+fn fault_to_json(fe: &FaultEvent) -> String {
+    let spec = fault_spec_line(fe);
+    spec_to_json(spec.trim_start_matches("fault "), "kind", &[])
 }
 
 fn fault_from_json(v: &Json) -> Result<FaultEvent, String> {
@@ -279,219 +169,23 @@ fn fault_from_json(v: &Json) -> Result<FaultEvent, String> {
     Ok(FaultEvent { at, kind })
 }
 
-/// Serializes a live combo as a self-contained `repro.json` document,
-/// distinguished by `"kind": "live"`. The plan (and so the injected
-/// faults) replays exactly; the wall-clock interleaving around it is
-/// best-effort, which is why live repros exist at all — rerunning the
-/// captured combo is the closest thing to replay the real-thread
-/// backend can offer.
-pub fn live_to_json(combo: &LiveCombo) -> String {
-    let mut out = String::with_capacity(256);
-    out.push_str("{\n");
-    out.push_str("  \"kind\": \"live\",\n");
-    out.push_str(&format!(
-        "  \"policy\": \"{}\",\n",
-        json::escape(combo.policy.name())
-    ));
-    out.push_str(&format!("  \"seed\": \"{}\",\n", combo.seed));
-    out.push_str(&format!("  \"requests\": {},\n", combo.requests));
-    out.push_str(&format!("  \"cpus\": {},\n", combo.cpus));
-    out.push_str("  \"plan\": [");
-    for (i, fe) in combo.plan.events.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        out.push_str("\n    ");
-        out.push_str(&fault_to_json(fe));
-    }
-    if !combo.plan.events.is_empty() {
-        out.push_str("\n  ");
-    }
-    out.push_str("]\n}\n");
-    out
-}
-
-/// Parses a live `repro.json` document back into a combo.
-pub fn live_from_json(input: &str) -> Result<LiveCombo, String> {
-    let doc = json::parse(input)?;
-    if doc.get("kind").and_then(Json::as_str) != Some("live") {
-        return Err("not a live repro (missing \"kind\": \"live\")".into());
-    }
-    let policy_name = doc
-        .get("policy")
-        .and_then(Json::as_str)
-        .ok_or("missing string field 'policy'")?;
-    let policy = PolicyKind::from_name(policy_name)
-        .filter(|p| crate::live::live_policies().contains(p))
-        .ok_or_else(|| format!("unsupported live policy '{policy_name}'"))?;
-    let seed = doc
-        .get("seed")
-        .and_then(Json::as_str)
-        .ok_or("missing string field 'seed'")?
-        .parse::<u64>()
-        .map_err(|e| format!("bad seed: {e}"))?;
-    let requests = field_u64(&doc, "requests")?;
-    let cpus = field_u64(&doc, "cpus")? as usize;
-    let mut events = Vec::new();
-    for item in doc
-        .get("plan")
-        .and_then(Json::as_arr)
-        .ok_or("missing array field 'plan'")?
-    {
-        events.push(fault_from_json(item)?);
-    }
-    Ok(LiveCombo {
-        policy,
-        seed,
-        plan: FaultPlan { events },
-        requests,
-        cpus,
-    })
-}
-
-/// Serializes a byzantine combo as a self-contained `repro.json`
-/// document, distinguished from fault-plan repros by `"kind":
-/// "byzantine"`. Status-word payloads are encoded as decimal strings
-/// for the same `f64` reason as seeds.
-pub fn byz_to_json(combo: &ByzCombo) -> String {
-    let mut out = String::with_capacity(256);
-    out.push_str("{\n");
-    out.push_str("  \"kind\": \"byzantine\",\n");
-    out.push_str(&format!(
-        "  \"victim\": \"{}\",\n",
-        json::escape(combo.victim.name())
-    ));
-    out.push_str(&format!("  \"seed\": \"{}\",\n", combo.seed));
-    out.push_str("  \"ops\": [");
-    for (i, op) in combo.ops.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        out.push_str("\n    ");
-        out.push_str(&byz_op_to_json(op));
-    }
-    if !combo.ops.is_empty() {
-        out.push_str("\n  ");
-    }
-    out.push_str("]\n}\n");
-    out
-}
-
-fn byz_op_to_json(op: &ByzOp) -> String {
-    match *op {
-        ByzOp::CommitForgedCpu { cpu } => {
-            format!("{{\"op\": \"commit-forged-cpu\", \"cpu\": {cpu}}}")
-        }
-        ByzOp::CommitForeignTid { tid } => {
-            format!("{{\"op\": \"commit-foreign-tid\", \"tid\": {tid}}}")
-        }
-        ByzOp::CommitStaleSeq => "{\"op\": \"commit-stale-seq\"}".into(),
-        ByzOp::CommitAtomicMixed { cpu } => {
-            format!("{{\"op\": \"commit-atomic-mixed\", \"cpu\": {cpu}}}")
-        }
-        ByzOp::RecallForged { cpu } => format!("{{\"op\": \"recall-forged\", \"cpu\": {cpu}}}"),
-        ByzOp::QueueDestroyDefault => "{\"op\": \"queue-destroy-default\"}".into(),
-        ByzOp::QueueAssociateForged { tid, queue } => {
-            format!("{{\"op\": \"queue-associate-forged\", \"tid\": {tid}, \"queue\": {queue}}}")
-        }
-        ByzOp::QueueWakeupForged { tid } => {
-            format!("{{\"op\": \"queue-wakeup-forged\", \"tid\": {tid}}}")
-        }
-        ByzOp::PntPushForeign { tid } => {
-            format!("{{\"op\": \"pnt-push-foreign\", \"tid\": {tid}}}")
-        }
-        ByzOp::PingForged { cpu } => format!("{{\"op\": \"ping-forged\", \"cpu\": {cpu}}}"),
-        ByzOp::AttachForged { tid } => format!("{{\"op\": \"attach-forged\", \"tid\": {tid}}}"),
-        ByzOp::StatusWrite { tid, value } => {
-            format!("{{\"op\": \"status-write\", \"tid\": {tid}, \"value\": \"{value}\"}}")
-        }
-        ByzOp::StatusReadForged { tid } => {
-            format!("{{\"op\": \"status-read-forged\", \"tid\": {tid}}}")
-        }
-        ByzOp::HintForged { tid } => format!("{{\"op\": \"hint-forged\", \"tid\": {tid}}}"),
-        ByzOp::UpgradeWithoutStage => "{\"op\": \"upgrade-without-stage\"}".into(),
-        ByzOp::DestroyTwice => "{\"op\": \"destroy-twice\"}".into(),
-        ByzOp::CreateOverlapping { cpu } => {
-            format!("{{\"op\": \"create-overlapping\", \"cpu\": {cpu}}}")
-        }
-    }
-}
-
-/// Parses a byzantine `repro.json` document back into a combo.
-pub fn byz_from_json(input: &str) -> Result<ByzCombo, String> {
-    let doc = json::parse(input)?;
-    if doc.get("kind").and_then(Json::as_str) != Some("byzantine") {
-        return Err("not a byzantine repro (missing \"kind\": \"byzantine\")".into());
-    }
-    let victim_name = doc
-        .get("victim")
-        .and_then(Json::as_str)
-        .ok_or("missing string field 'victim'")?;
-    let victim = PolicyKind::from_name(victim_name)
-        .filter(|p| ByzCombo::victims().contains(p))
-        .ok_or_else(|| format!("unsupported byzantine victim '{victim_name}'"))?;
-    let seed = doc
-        .get("seed")
-        .and_then(Json::as_str)
-        .ok_or("missing string field 'seed'")?
-        .parse::<u64>()
-        .map_err(|e| format!("bad seed: {e}"))?;
-    let mut ops = Vec::new();
-    for item in doc
-        .get("ops")
-        .and_then(Json::as_arr)
-        .ok_or("missing array field 'ops'")?
-    {
-        ops.push(byz_op_from_json(item)?);
-    }
-    Ok(ByzCombo { victim, seed, ops })
-}
-
-fn byz_op_from_json(v: &Json) -> Result<ByzOp, String> {
-    let name = v
-        .get("op")
-        .and_then(Json::as_str)
-        .ok_or("byzantine op without 'op'")?;
-    let cpu = || field_u64(v, "cpu").map(|c| c as u16);
-    let tid = || field_u64(v, "tid").map(|t| t as u32);
-    let op = match name {
-        "commit-forged-cpu" => ByzOp::CommitForgedCpu { cpu: cpu()? },
-        "commit-foreign-tid" => ByzOp::CommitForeignTid { tid: tid()? },
-        "commit-stale-seq" => ByzOp::CommitStaleSeq,
-        "commit-atomic-mixed" => ByzOp::CommitAtomicMixed { cpu: cpu()? },
-        "recall-forged" => ByzOp::RecallForged { cpu: cpu()? },
-        "queue-destroy-default" => ByzOp::QueueDestroyDefault,
-        "queue-associate-forged" => ByzOp::QueueAssociateForged {
-            tid: tid()?,
-            queue: field_u64(v, "queue")? as u32,
-        },
-        "queue-wakeup-forged" => ByzOp::QueueWakeupForged { tid: tid()? },
-        "pnt-push-foreign" => ByzOp::PntPushForeign { tid: tid()? },
-        "ping-forged" => ByzOp::PingForged { cpu: cpu()? },
-        "attach-forged" => ByzOp::AttachForged { tid: tid()? },
-        "status-write" => ByzOp::StatusWrite {
-            tid: tid()?,
-            value: v
-                .get("value")
-                .and_then(Json::as_str)
-                .ok_or("status-write without string field 'value'")?
-                .parse::<u64>()
-                .map_err(|e| format!("bad status-write value: {e}"))?,
-        },
-        "status-read-forged" => ByzOp::StatusReadForged { tid: tid()? },
-        "hint-forged" => ByzOp::HintForged { tid: tid()? },
-        "upgrade-without-stage" => ByzOp::UpgradeWithoutStage,
-        "destroy-twice" => ByzOp::DestroyTwice,
-        "create-overlapping" => ByzOp::CreateOverlapping { cpu: cpu()? },
-        other => return Err(format!("unknown byzantine op '{other}'")),
-    };
-    Ok(op)
-}
-
 #[cfg(test)]
 mod tests {
-    use super::*;
+    use crate::byzantine::{ByzCombo, ByzOp, ByzantineSweep};
+    use crate::lending::{LendingLiveCombo, LendingLiveSweep, LendingSweep};
+    use crate::live::{LiveCombo, LiveSweep};
+    use crate::run::{Combo, FaultSweep, PolicyKind};
+    use crate::sweep::{self, Sweep};
+    use ghost_lab::{LendingFault, LendingScenario, LendingWorkload};
+    use ghost_sim::faults::{FaultKind, FaultPlan};
     use ghost_sim::time::MILLIS;
+    use ghost_sim::topology::CpuId;
+    use ghost_trace::json;
+
+    /// The kind tag of the mode `--replay` would pick for `doc`.
+    fn mode_of(doc: &str) -> Option<&'static str> {
+        sweep::mode_of(&json::parse(doc).unwrap()).unwrap().kind()
+    }
 
     #[test]
     fn every_fault_kind_round_trips() {
@@ -537,63 +231,9 @@ mod tests {
             horizon: 120 * MILLIS,
             threads: 5,
         };
-        let doc = combo_to_json(&combo);
-        let back = combo_from_json(&doc).expect("parses");
-        assert_eq!(back, combo);
-    }
-
-    #[test]
-    fn empty_plan_round_trips() {
-        let combo = Combo {
-            policy: PolicyKind::PerCpu,
-            seed: 0,
-            plan: FaultPlan::none(),
-            horizon: MILLIS,
-            threads: 1,
-        };
-        assert_eq!(combo_from_json(&combo_to_json(&combo)).unwrap(), combo);
-    }
-
-    #[test]
-    fn rejects_garbage() {
-        assert!(combo_from_json("{}").is_err());
-        assert!(combo_from_json("not json").is_err());
-        assert!(combo_from_json(
-            r#"{"policy": "nope", "seed": "1", "horizon": 1, "threads": 1, "plan": []}"#
-        )
-        .is_err());
-    }
-
-    #[test]
-    fn live_combos_round_trip() {
-        let combo = LiveCombo {
-            policy: PolicyKind::PerCpu,
-            seed: u64::MAX - 3, // would not survive an f64 round trip
-            plan: FaultPlan::from_events([
-                (50 * MILLIS, FaultKind::AgentCrash { cpu: CpuId(0) }),
-                (
-                    60 * MILLIS,
-                    FaultKind::AgentHang {
-                        cpu: CpuId(1),
-                        dur: 100 * MILLIS,
-                    },
-                ),
-            ]),
-            requests: 60_000,
-            cpus: 2,
-        };
-        let doc = live_to_json(&combo);
-        assert!(is_live_repro(&doc));
-        assert!(!is_byzantine_repro(&doc));
-        let back = live_from_json(&doc).expect("parses");
-        assert_eq!(back, combo);
-        // The other parsers reject live repros and vice versa.
-        assert!(combo_from_json(&doc).is_err());
-        assert!(live_from_json("{}").is_err());
-        assert!(live_from_json(
-            r#"{"kind": "live", "policy": "shinjuku", "seed": "1", "requests": 1, "cpus": 1, "plan": []}"#
-        )
-        .is_err());
+        let doc = FaultSweep::FAULTS.encode(&combo);
+        assert_eq!(mode_of(&doc), None);
+        assert_eq!(FaultSweep::FAULTS.parse(&doc).expect("parses"), combo);
     }
 
     #[test]
@@ -624,75 +264,98 @@ mod tests {
                 ByzOp::CreateOverlapping { cpu: 1 },
             ],
         };
-        let doc = byz_to_json(&combo);
-        assert!(is_byzantine_repro(&doc));
-        let back = byz_from_json(&doc).expect("parses");
-        assert_eq!(back, combo);
+        let doc = ByzantineSweep.encode(&combo);
+        assert_eq!(mode_of(&doc), Some("byzantine"));
+        assert_eq!(ByzantineSweep.parse(&doc).expect("parses"), combo);
     }
 
     #[test]
-    fn lending_repros_round_trip() {
-        let sc = LendingScenario::new(
-            PolicyKind::Shinjuku,
-            LendingWorkload::FlashCrowd,
-            LendingFault::RevokeDuringReconstruct,
-            u64::MAX - 5, // would not survive an f64 round trip
-            120 * MILLIS,
-        );
-        let doc = lending_to_json(&sc);
-        assert!(is_lending_repro(&doc));
-        assert!(!is_live_repro(&doc));
-        assert!(!is_lending_live_repro(&doc));
-        assert_eq!(lending_from_json(&doc).unwrap(), sc);
-        // The other parsers reject lending repros and vice versa.
-        assert!(combo_from_json(&doc).is_err());
-        assert!(lending_from_json("{}").is_err());
-        assert!(lending_from_json(
-            r#"{"kind": "lending", "policy": "nope", "workload": "diurnal",
-                "fault": "rm-crash", "seed": "1", "horizon": 1}"#
-        )
-        .is_err());
-    }
-
-    #[test]
-    fn lending_live_repros_round_trip() {
-        let combo = LendingLiveCombo {
-            policy: PolicyKind::PerCpu,
-            fault: LendingFault::RmCrash,
-            seed: u64::MAX - 9, // would not survive an f64 round trip
-            requests: 60_000,
-        };
-        let doc = lending_live_to_json(&combo);
-        assert!(is_lending_live_repro(&doc));
-        assert!(!is_lending_repro(&doc));
-        assert_eq!(lending_live_from_json(&doc).unwrap(), combo);
-        // Policies without a live backend are rejected.
-        assert!(lending_live_from_json(
-            r#"{"kind": "lending-live", "policy": "shinjuku", "fault": "rm-crash",
-                "seed": "1", "requests": 1}"#
-        )
-        .is_err());
-    }
-
-    #[test]
-    fn byzantine_parser_rejects_garbage() {
-        assert!(byz_from_json("{}").is_err());
-        assert!(byz_from_json("not json").is_err());
-        // A fault-plan repro is not a byzantine repro, and vice versa.
-        let combo = Combo {
+    fn every_kind_round_trips_and_rejects_the_others() {
+        let faults = Combo {
             policy: PolicyKind::PerCpu,
             seed: 0,
             plan: FaultPlan::none(),
             horizon: MILLIS,
             threads: 1,
         };
-        let doc = combo_to_json(&combo);
-        assert!(!is_byzantine_repro(&doc));
-        assert!(byz_from_json(&doc).is_err());
-        // Core scheduling cannot co-reside with the byzantine enclave.
-        assert!(byz_from_json(
-            r#"{"kind": "byzantine", "victim": "core-sched", "seed": "1", "ops": []}"#
-        )
-        .is_err());
+        let live = LiveCombo {
+            policy: PolicyKind::PerCpu,
+            seed: u64::MAX - 3,
+            plan: FaultPlan::from_events([(50 * MILLIS, FaultKind::AgentCrash { cpu: CpuId(0) })]),
+            requests: 60_000,
+            cpus: 2,
+        };
+        let lending = LendingScenario::new(
+            PolicyKind::Shinjuku,
+            LendingWorkload::FlashCrowd,
+            LendingFault::RevokeDuringReconstruct,
+            u64::MAX - 5,
+            120 * MILLIS,
+        );
+        let lending_live = LendingLiveCombo {
+            policy: PolicyKind::PerCpu,
+            fault: LendingFault::RmCrash,
+            seed: u64::MAX - 9,
+            requests: 60_000,
+        };
+        let docs = [
+            FaultSweep::FAULTS.encode(&faults),
+            LiveSweep.encode(&live),
+            LendingSweep.encode(&lending),
+            LendingLiveSweep.encode(&lending_live),
+        ];
+        assert_eq!(FaultSweep::FAULTS.parse(&docs[0]).unwrap(), faults);
+        assert_eq!(LiveSweep.parse(&docs[1]).unwrap(), live);
+        assert_eq!(LendingSweep.parse(&docs[2]).unwrap(), lending);
+        assert_eq!(LendingLiveSweep.parse(&docs[3]).unwrap(), lending_live);
+        // Each document names its own mode, and every other decoder
+        // rejects it.
+        let modes = [None, Some("live"), Some("lending"), Some("lending-live")];
+        for (i, doc) in docs.iter().enumerate() {
+            assert_eq!(mode_of(doc), modes[i]);
+            assert_eq!(FaultSweep::FAULTS.parse(doc).is_ok(), i == 0);
+            assert_eq!(LiveSweep.parse(doc).is_ok(), i == 1);
+            assert_eq!(LendingSweep.parse(doc).is_ok(), i == 2);
+            assert_eq!(LendingLiveSweep.parse(doc).is_ok(), i == 3);
+            assert!(ByzantineSweep.parse(doc).is_err());
+        }
+    }
+
+    #[test]
+    fn decoders_reject_garbage_and_unsupported_policies() {
+        for input in ["{}", "not json"] {
+            assert!(FaultSweep::FAULTS.parse(input).is_err());
+            assert!(ByzantineSweep.parse(input).is_err());
+            assert!(LiveSweep.parse(input).is_err());
+            assert!(LendingSweep.parse(input).is_err());
+            assert!(LendingLiveSweep.parse(input).is_err());
+        }
+        assert!(sweep::mode_of(&json::parse(r#"{"kind": "nope"}"#).unwrap()).is_err());
+        assert!(sweep::mode_of(&json::parse(r#"{"kind": 3}"#).unwrap()).is_err());
+        assert!(FaultSweep::FAULTS
+            .parse(r#"{"policy": "nope", "seed": "1", "horizon": 1, "threads": 1, "plan": []}"#)
+            .is_err());
+        assert!(LendingSweep
+            .parse(
+                r#"{"kind": "lending", "policy": "nope", "workload": "diurnal",
+                "fault": "rm-crash", "seed": "1", "horizon": 1}"#
+            )
+            .is_err());
+        // Policies without a live backend are rejected by the live kinds,
+        // and core scheduling cannot co-reside with the byzantine enclave.
+        assert!(LiveSweep
+            .parse(
+                r#"{"kind": "live", "policy": "shinjuku", "seed": "1", "requests": 1, "cpus": 1, "plan": []}"#
+            )
+            .is_err());
+        assert!(LendingLiveSweep
+            .parse(
+                r#"{"kind": "lending-live", "policy": "shinjuku", "fault": "rm-crash",
+                "seed": "1", "requests": 1}"#
+            )
+            .is_err());
+        assert!(ByzantineSweep
+            .parse(r#"{"kind": "byzantine", "victim": "core-sched", "seed": "1", "ops": []}"#)
+            .is_err());
     }
 }

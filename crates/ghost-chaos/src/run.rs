@@ -1,24 +1,26 @@
 //! Runs one `(policy × workload × fault plan × seed)` combo on the
 //! simulated kernel and judges it with the oracles.
 //!
-//! Since the `ghost-lab` experiment engine landed, a combo is just a
-//! thin wrapper over a [`Scenario`]: [`Combo::scenario`] maps the sweep
-//! point onto the declarative spec, [`run_combo`] launches it through
-//! the canonical builder path and layers the chaos oracles on top.
+//! A combo is a thin wrapper over a `ghost-lab` [`Scenario`]:
+//! [`Combo::scenario`] maps the sweep point onto the declarative spec,
+//! [`run_combo`] launches it through the canonical builder path and
+//! layers the chaos oracles on top, and [`FaultSweep`] is the mode that
+//! sweeps combos.
 //! [`PolicyKind`] itself moved into `ghost-lab` and is re-exported here
 //! so `repro.json` files and downstream callers are unaffected.
 
-use crate::oracle::{self, Failure};
+use crate::oracle;
 use crate::plan::{generate_plan, generate_recovery_plan};
+use crate::repro;
+use crate::shrink::shrink_by_removal;
+use crate::sweep::{rotate, Outcome, Sweep};
 use ghost_core::runtime::GhostStats;
-use ghost_lab::engine::{Experiment, ExperimentResult};
-use ghost_lab::fnv64_lines;
 pub use ghost_lab::scenario::PolicyKind;
 use ghost_lab::scenario::{Scenario, TopologySpec, WorkloadSpec};
 use ghost_sim::faults::{FaultKind, FaultPlan};
 use ghost_sim::time::{Nanos, MILLIS};
 use ghost_sim::topology::{CpuId, Topology};
-use ghost_trace::TraceRecord;
+use ghost_trace::json::Json;
 
 /// Watchdog timeout used for every chaos enclave: short enough that
 /// recovery from a wedged agent fits inside the run horizon.
@@ -43,17 +45,7 @@ impl Combo {
     /// The sweep's combo for `(policy, seed)`: standard horizon and
     /// thread count, fault plan derived from the seed.
     pub fn generated(policy: PolicyKind, seed: u64) -> Self {
-        let horizon = 120 * MILLIS;
-        let topo = Topology::test_small(4);
-        let cpus: Vec<CpuId> = policy.enclave_cpus(&topo).iter().collect();
-        let plan = generate_plan(seed, horizon, &cpus);
-        Self {
-            policy,
-            seed,
-            plan,
-            horizon,
-            threads: 5,
-        }
+        Self::with_plan(policy, seed, generate_plan)
     }
 
     /// The recovery sweep's combo for `(policy, seed)`: like
@@ -62,14 +54,21 @@ impl Combo {
     /// every single combo instead of whenever the generic generator
     /// happens to roll one.
     pub fn generated_recovery(policy: PolicyKind, seed: u64) -> Self {
+        Self::with_plan(policy, seed, generate_recovery_plan)
+    }
+
+    fn with_plan(
+        policy: PolicyKind,
+        seed: u64,
+        generate: fn(u64, Nanos, &[CpuId]) -> FaultPlan,
+    ) -> Self {
         let horizon = 120 * MILLIS;
         let topo = Topology::test_small(4);
         let cpus: Vec<CpuId> = policy.enclave_cpus(&topo).iter().collect();
-        let plan = generate_recovery_plan(seed, horizon, &cpus);
         Self {
             policy,
             seed,
-            plan,
+            plan: generate(seed, horizon, &cpus),
             horizon,
             threads: 5,
         }
@@ -119,25 +118,26 @@ impl Combo {
     }
 }
 
-/// Everything a finished run exposes to oracles, the shrinker, and tests.
+/// The counters of a finished fault-plan run, beside its [`Outcome`].
 pub struct RunReport {
-    /// Oracle verdicts; empty means the run was clean.
-    pub failures: Vec<Failure>,
     /// Workload segments completed.
     pub completions: u64,
     /// Runtime counters.
     pub stats: GhostStats,
-    /// The recorded trace (for Chrome export of failing runs).
-    pub records: Vec<TraceRecord>,
 }
 
-/// Evaluates every oracle against a finished run of `combo`.
-fn judge(combo: &Combo, run: &ghost_lab::LabRun) -> Vec<Failure> {
+/// Runs `combo` to its horizon and evaluates every oracle. Fully
+/// deterministic: the same combo always returns the same outcome. The
+/// result lines are the scenario's hashable summary; each oracle
+/// violation is a `failure ...` line.
+pub fn run_combo(combo: &Combo) -> Outcome<RunReport> {
+    let mut run = combo.scenario().launch();
+    run.run_to_horizon();
     let records = run.sim.sink.snapshot();
     let recovery_slo = combo
         .plans_standby()
         .then(|| ghost_core::StandbyConfig::default().recovery_slo);
-    oracle::evaluate(
+    let failures = oracle::evaluate(
         &records,
         run.sim.sink.dropped(),
         &run.sim.kernel.state,
@@ -146,52 +146,118 @@ fn judge(combo: &Combo, run: &ghost_lab::LabRun) -> Vec<Failure> {
         &run.threads,
         run.completions(),
         recovery_slo,
-    )
-}
-
-/// Runs `combo` to its horizon and evaluates every oracle. Fully
-/// deterministic: the same combo always returns the same report.
-pub fn run_combo(combo: &Combo) -> RunReport {
-    let mut run = combo.scenario().launch();
-    run.run_to_horizon();
-    let failures = judge(combo, &run);
-    RunReport {
-        completions: run.completions(),
-        stats: run.sim.runtime.stats(),
-        records: run.sim.sink.snapshot(),
-        failures,
+    );
+    Outcome {
+        lines: run.summary().lines,
+        failures: failures.iter().map(|f| format!("failure {f}")).collect(),
+        records,
+        sample: RunReport {
+            completions: run.completions(),
+            stats: run.sim.runtime.stats(),
+        },
     }
 }
 
-/// A combo as a `ghost-lab` [`Experiment`], so the chaos sweep can run
-/// on the parallel engine. The spec is the underlying scenario's spec
-/// string (making sweep results content-addressed and cacheable); the
-/// result is the scenario's hashable summary plus one `failure ...`
-/// line per oracle violation; `pass` means no oracle fired.
-pub struct ComboExperiment(pub Combo);
+/// The fault-plan sweep: seeded plans over the evaluation policies, or
+/// with `recovery`, plans that always crash an agent or upgrade in
+/// place. Repros are untagged; the digest label is `policy/seed=N` and
+/// the cache key is the scenario's spec string. Failures shrink to a
+/// 1-minimal fault plan.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct FaultSweep {
+    /// Generate recovery plans ([`Combo::generated_recovery`]).
+    pub recovery: bool,
+}
 
-impl Experiment for ComboExperiment {
-    fn label(&self) -> String {
-        format!("{}/seed={}", self.0.policy.name(), self.0.seed)
+impl FaultSweep {
+    /// The default sweep.
+    pub const FAULTS: FaultSweep = FaultSweep { recovery: false };
+    /// The `--recovery` sweep.
+    pub const RECOVERY: FaultSweep = FaultSweep { recovery: true };
+}
+
+impl Sweep for FaultSweep {
+    type Case = Combo;
+    type Sample = RunReport;
+    const KIND: Option<&'static str> = None;
+    const DEFAULT_COMBOS: u64 = 64;
+    const DETERMINISTIC: bool = true;
+
+    fn name(&self) -> &'static str {
+        if self.recovery {
+            "recovery"
+        } else {
+            "fault"
+        }
     }
 
-    fn spec(&self) -> String {
-        self.0.scenario().spec_string()
+    fn policies(&self) -> Vec<PolicyKind> {
+        PolicyKind::evaluation_matrix()
     }
 
-    fn execute(&self) -> ExperimentResult {
-        let mut run = self.0.scenario().launch();
-        run.run_to_horizon();
-        let failures = judge(&self.0, &run);
-        let mut lines = run.summary().lines;
-        for f in &failures {
-            lines.push(format!("failure {f}"));
+    /// Any registered policy can be pinned, not only the rotation.
+    fn accepts(&self, _policy: PolicyKind) -> bool {
+        true
+    }
+
+    fn generate(&self, i: u64, seed_base: u64, policies: &[PolicyKind]) -> Combo {
+        let policy = rotate(policies, i);
+        if self.recovery {
+            Combo::generated_recovery(policy, seed_base + i)
+        } else {
+            Combo::generated(policy, seed_base + i)
         }
-        let hash = fnv64_lines(&lines);
-        ExperimentResult {
-            pass: failures.is_empty(),
-            hash,
-            lines,
-        }
+    }
+
+    fn label(&self, combo: &Combo) -> String {
+        format!("{}/seed={}", combo.policy.name(), combo.seed)
+    }
+
+    fn spec(&self, combo: &Combo) -> String {
+        combo.scenario().spec_string()
+    }
+
+    fn describe(&self, combo: &Combo) -> String {
+        format!(
+            "policy={} seed={} faults={}",
+            combo.policy.name(),
+            combo.seed,
+            combo.plan.events.len()
+        )
+    }
+
+    fn run(&self, combo: &Combo) -> Outcome<RunReport> {
+        run_combo(combo)
+    }
+
+    fn shrink(&self, combo: &Combo) -> Combo {
+        shrink_by_removal(
+            combo,
+            |c| &mut c.plan.events,
+            |c| !run_combo(c).failures.is_empty(),
+        )
+    }
+
+    fn encode(&self, combo: &Combo) -> String {
+        repro::document(
+            None,
+            &[
+                ("policy", repro::string(combo.policy.name())),
+                ("seed", repro::string(&combo.seed.to_string())),
+                ("horizon", combo.horizon.to_string()),
+                ("threads", combo.threads.to_string()),
+                ("plan", repro::plan_to_json(&combo.plan)),
+            ],
+        )
+    }
+
+    fn decode(&self, doc: &Json) -> Result<Combo, String> {
+        Ok(Combo {
+            policy: repro::policy(doc, "policy", |_| true)?,
+            seed: repro::seed(doc)?,
+            plan: repro::plan_from_json(doc)?,
+            horizon: repro::field_u64(doc, "horizon")?,
+            threads: repro::field_u64(doc, "threads")? as usize,
+        })
     }
 }

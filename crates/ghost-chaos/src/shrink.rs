@@ -1,33 +1,32 @@
-//! Greedy fault-plan shrinking: reduce a failing combo to a 1-minimal
-//! repro (removing any single remaining fault makes the failure vanish).
+//! Greedy shrinking: reduce a failing case to a 1-minimal repro
+//! (removing any single remaining part makes the failure vanish).
 
-use crate::run::{run_combo, Combo};
-
-/// Shrinks `combo`'s fault plan while it keeps failing. Each round tries
-/// deleting one event at a time and keeps the first deletion that still
-/// fails, until no single deletion preserves the failure. Runs
-/// `O(events²)` simulations in the worst case — plans are ≤ 3 events in
-/// the sweep, so this is cheap.
+/// Shrinks `case` by deleting elements of the list `parts` selects
+/// (fault events, hostile ops) while `fails` still holds. Each round
+/// tries deleting one element at a time and keeps the first deletion
+/// that still fails, until no single deletion preserves the failure.
+/// Runs `O(parts²)` cases in the worst case — sweeps generate at most a
+/// handful of parts, so this is cheap.
 ///
-/// A combo that does not fail is returned unchanged.
-pub fn shrink(combo: &Combo) -> Combo {
-    let mut best = combo.clone();
-    if run_combo(&best).failures.is_empty() {
+/// A case that does not fail is returned unchanged.
+pub(crate) fn shrink_by_removal<C: Clone, T>(
+    case: &C,
+    parts: impl Fn(&mut C) -> &mut Vec<T>,
+    fails: impl Fn(&C) -> bool,
+) -> C {
+    let mut best = case.clone();
+    if !fails(&best) {
         return best;
     }
-    loop {
-        let mut improved = false;
-        for i in 0..best.plan.events.len() {
+    'rounds: loop {
+        for i in 0..parts(&mut best).len() {
             let mut cand = best.clone();
-            cand.plan.events.remove(i);
-            if !run_combo(&cand).failures.is_empty() {
+            parts(&mut cand).remove(i);
+            if fails(&cand) {
                 best = cand;
-                improved = true;
-                break;
+                continue 'rounds;
             }
         }
-        if !improved {
-            return best;
-        }
+        return best;
     }
 }

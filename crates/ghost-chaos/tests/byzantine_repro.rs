@@ -3,7 +3,7 @@
 //! 1-minimal hostile op sequence found by the sweep + shrinker; they are
 //! checked in so the panics can never come back silently.
 
-use ghost_chaos::{byz_from_json, run_byzantine};
+use ghost_chaos::{run_byzantine, ByzantineSweep, Sweep};
 use ghost_core::abi::AbiError;
 
 fn load(name: &str) -> String {
@@ -17,13 +17,16 @@ fn load(name: &str) -> String {
 /// typed `InvalidCpu` rejection while the victim enclave keeps its SLO.
 #[test]
 fn forged_commit_cpu_is_a_typed_rejection() {
-    let combo = byz_from_json(&load("byzantine-forged-cpu.json")).unwrap();
-    let report = run_byzantine(&combo);
+    let combo = ByzantineSweep
+        .parse(&load("byzantine-forged-cpu.json"))
+        .unwrap();
+    let outcome = run_byzantine(&combo);
     assert!(
-        report.failures.is_empty(),
+        outcome.failures.is_empty(),
         "oracles failed: {:?}",
-        report.failures
+        outcome.failures
     );
+    let report = outcome.sample;
     assert!(report.hostile_rejected >= 1);
     assert!(report.stats.rejects(AbiError::InvalidCpu) >= 1);
 }
@@ -37,13 +40,16 @@ fn forged_commit_cpu_is_a_typed_rejection() {
 /// topology, the id moved to 1300 to stay unrepresentable.)
 #[test]
 fn oversized_enclave_mask_is_a_typed_rejection() {
-    let combo = byz_from_json(&load("byzantine-overlapping-create.json")).unwrap();
-    let report = run_byzantine(&combo);
+    let combo = ByzantineSweep
+        .parse(&load("byzantine-overlapping-create.json"))
+        .unwrap();
+    let outcome = run_byzantine(&combo);
     assert!(
-        report.failures.is_empty(),
+        outcome.failures.is_empty(),
         "oracles failed: {:?}",
-        report.failures
+        outcome.failures
     );
+    let report = outcome.sample;
     assert!(report.hostile_rejected >= 1);
     assert!(report.stats.rejects(AbiError::EmptyCpuSet) >= 1);
 }

@@ -11,10 +11,7 @@
 use ghost_chaos::lab::run_sweep;
 use ghost_chaos::rand::rngs::StdRng;
 use ghost_chaos::rand::Rng;
-use ghost_chaos::{
-    combo_from_json, combo_to_json, for_seeds, run_combo, shrink, Combo, ComboExperiment,
-    PolicyKind,
-};
+use ghost_chaos::{for_seeds, run_combo, Combo, FaultSweep, PolicyKind, Sweep, SweepExperiment};
 
 /// A small sweep across every policy must pass all oracles — the
 /// runtime is expected to survive every generated fault plan. Runs
@@ -22,9 +19,14 @@ use ghost_chaos::{
 /// `ghost-chaos` binary takes with `--jobs`.
 #[test]
 fn small_sweep_is_clean_on_all_policies() {
-    let exps: Vec<ComboExperiment> = PolicyKind::evaluation_matrix()
+    let exps: Vec<SweepExperiment<FaultSweep>> = PolicyKind::evaluation_matrix()
         .into_iter()
-        .flat_map(|policy| (1..=4).map(move |seed| ComboExperiment(Combo::generated(policy, seed))))
+        .flat_map(|policy| {
+            (1..=4).map(move |seed| SweepExperiment {
+                sweep: &FaultSweep::FAULTS,
+                case: Combo::generated(policy, seed),
+            })
+        })
         .collect();
     let report = run_sweep(&exps, 2, None);
     for item in &report.items {
@@ -52,9 +54,9 @@ fn replay_is_deterministic() {
     let combo = Combo::generated(PolicyKind::Shinjuku, 7);
     let a = run_combo(&combo);
     let b = run_combo(&combo);
-    assert_eq!(a.completions, b.completions);
+    assert_eq!(a.sample.completions, b.sample.completions);
     assert_eq!(a.failures, b.failures);
-    assert_eq!(a.stats.txns_committed, b.stats.txns_committed);
+    assert_eq!(a.sample.stats.txns_committed, b.sample.stats.txns_committed);
     assert_eq!(a.records.len(), b.records.len());
     assert!(a.records.iter().zip(&b.records).all(|(x, y)| x == y));
 }
@@ -65,7 +67,7 @@ fn replay_is_deterministic() {
 fn shrink_returns_clean_combo_unchanged() {
     let combo = Combo::generated(PolicyKind::CentralizedFifo, 3);
     assert!(run_combo(&combo).failures.is_empty(), "pick a clean seed");
-    assert_eq!(shrink(&combo), combo);
+    assert_eq!(FaultSweep::FAULTS.shrink(&combo), combo);
 }
 
 /// Repro round trip on a generated (not hand-built) combo.
@@ -73,7 +75,9 @@ fn shrink_returns_clean_combo_unchanged() {
 fn generated_combos_round_trip_through_repro_json() {
     for seed in 1..=10 {
         let combo = Combo::generated(PolicyKind::CoreSched, seed);
-        let back = combo_from_json(&combo_to_json(&combo)).expect("parses");
+        let back = FaultSweep::FAULTS
+            .parse(&FaultSweep::FAULTS.encode(&combo))
+            .expect("parses");
         assert_eq!(back, combo);
     }
 }
@@ -129,9 +133,9 @@ fn recovery_sweep_exercises_standby_failover() {
             if combo.plans_standby() {
                 standby_runs += 1;
             }
-            respawns += report.stats.respawns;
-            recoveries += report.stats.recoveries;
-            reconstructions += report.stats.reconstructions;
+            respawns += report.sample.stats.respawns;
+            recoveries += report.sample.stats.recoveries;
+            reconstructions += report.sample.stats.reconstructions;
         }
     }
     assert!(
@@ -161,14 +165,16 @@ fn standby_combo_replays_deterministically() {
             let report = run_combo(&c);
             (c, report)
         })
-        .find(|(_, r)| r.stats.respawns > 0)
+        .find(|(_, r)| r.sample.stats.respawns > 0)
         .expect("some recovery combo respawns a standby");
-    let parsed = combo_from_json(&combo_to_json(&combo)).expect("repro round trip");
+    let parsed = FaultSweep::FAULTS
+        .parse(&FaultSweep::FAULTS.encode(&combo))
+        .expect("repro round trip");
     assert!(parsed.plans_standby(), "standby derivation survives replay");
     let b = run_combo(&parsed);
-    assert_eq!(a.completions, b.completions);
-    assert_eq!(a.stats.respawns, b.stats.respawns);
-    assert_eq!(a.stats.recoveries, b.stats.recoveries);
+    assert_eq!(a.sample.completions, b.sample.completions);
+    assert_eq!(a.sample.stats.respawns, b.sample.stats.respawns);
+    assert_eq!(a.sample.stats.recoveries, b.sample.stats.recoveries);
     assert_eq!(a.records.len(), b.records.len());
     assert!(a.records.iter().zip(&b.records).all(|(x, y)| x == y));
 }

@@ -20,12 +20,13 @@ fn live_crash_combo_recovers_within_slo() {
     // Seed 3 rotates to an agent crash (see `generate_live_plan`).
     let c = combo(PolicyKind::CentralizedFifo, 3);
     assert!(c.injects_crash());
-    let report = run_live_combo(&c);
+    let outcome = run_live_combo(&c);
     assert!(
-        report.failures.is_empty(),
+        outcome.failures.is_empty(),
         "oracle failures: {:?}",
-        report.failures
+        outcome.failures
     );
+    let report = outcome.sample;
     assert!(report.stats.respawns >= 1, "standby never respawned");
     assert!(report.stats.reconstructions >= 1, "no status-word resync");
     let gap = report.recovery_wall_ns.expect("recovery was measured");
@@ -51,13 +52,13 @@ fn live_hang_combo_stalls_and_completes() {
         .events
         .iter()
         .all(|fe| matches!(fe.kind, FaultKind::AgentHang { .. })));
-    let report = run_live_combo(&c);
+    let outcome = run_live_combo(&c);
     assert!(
-        report.failures.is_empty(),
+        outcome.failures.is_empty(),
         "oracle failures: {:?}",
-        report.failures
+        outcome.failures
     );
-    assert!(report.completed > 0, "hang combo made no progress");
+    assert!(outcome.sample.completed > 0, "hang combo made no progress");
 }
 
 #[test]
@@ -76,12 +77,13 @@ fn live_lease_revoke_while_degraded_stays_accounted() {
         "seed 2 rotates to the revoke-reconstruct arm"
     );
     combo.requests = 20_000; // tier-1 budget
-    let report = ghost_chaos::run_lending_live(&combo);
+    let outcome = ghost_chaos::run_lending_live(&combo);
     assert!(
-        report.failures.is_empty(),
+        outcome.failures.is_empty(),
         "oracle failures: {:?}",
-        report.failures
+        outcome.failures
     );
+    let report = outcome.sample;
     assert!(report.lease_stats.granted >= 1, "no lease was granted");
     let resolved = report.lease_stats.returned
         + report.lease_stats.expired

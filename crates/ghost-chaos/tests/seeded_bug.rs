@@ -6,7 +6,7 @@
 //! minimal repro, and the written `repro.json` must replay the exact
 //! failure deterministically.
 
-use ghost_chaos::{combo_from_json, combo_to_json, run_combo, shrink, Combo, PolicyKind};
+use ghost_chaos::{run_combo, Combo, FaultSweep, PolicyKind, Sweep};
 use ghost_sim::faults::{FaultKind, FaultPlan};
 use ghost_sim::time::MILLIS;
 use ghost_sim::topology::CpuId;
@@ -51,14 +51,14 @@ fn seeded_bug_is_caught_shrunk_and_replayed() {
         report
             .failures
             .iter()
-            .any(|f| f.oracle == "fallback-to-cfs"),
+            .any(|f| f.contains("[fallback-to-cfs]")),
         "expected the fallback oracle to fire, got: {:?}",
         report.failures
     );
 
     // 2. Shrunk: either the hang (watchdog reap) or the crash (fallback)
     // alone reproduces, so the minimal plan is a single event.
-    let minimal = shrink(&combo);
+    let minimal = FaultSweep::FAULTS.shrink(&combo);
     assert!(
         minimal.plan.events.len() <= 3,
         "shrunk plan too large: {:?}",
@@ -75,9 +75,11 @@ fn seeded_bug_is_caught_shrunk_and_replayed() {
     );
 
     // 3. Replayed: through repro.json, byte-identical failure set.
-    let parsed = combo_from_json(&combo_to_json(&minimal)).expect("repro parses");
+    let parsed = FaultSweep::FAULTS
+        .parse(&FaultSweep::FAULTS.encode(&minimal))
+        .expect("repro parses");
     assert_eq!(parsed, minimal);
     let replayed = run_combo(&parsed);
     assert_eq!(replayed.failures, min_report.failures, "replay diverged");
-    assert_eq!(replayed.completions, min_report.completions);
+    assert_eq!(replayed.sample.completions, min_report.sample.completions);
 }

@@ -421,43 +421,13 @@ impl LendingScenario {
     /// The lending oracles: no stranded leases, full grant accounting,
     /// donor liveness, and per-fault expectations.
     fn check_oracles(&self, run: &LendingRun) -> Vec<String> {
-        let mut fails = Vec::new();
         let rt = &run.runtime;
-
-        // No stranded lease: every active lease's CPU is owned by its
-        // live borrower, and no CPU is owned by a dead enclave.
-        for l in rt.leases() {
-            if rt.cpu_owner(l.cpu) != Some(l.borrower) {
-                fails.push(format!(
-                    "oracle-fail stranded-lease cpu={} borrower={:?} owner={:?}",
-                    l.cpu.0,
-                    l.borrower,
-                    rt.cpu_owner(l.cpu)
-                ));
-            }
-        }
-        for c in 0..run.kernel.state.topo.num_cpus() as u16 {
-            if let Some(eid) = rt.cpu_owner(CpuId(c)) {
-                let alive = (eid == run.protected.id() && run.protected.alive())
-                    || (eid == run.donor.id() && run.donor.alive());
-                if !alive {
-                    fails.push(format!(
-                        "oracle-fail cpu-on-dead-enclave cpu={c} enclave={eid:?}"
-                    ));
-                }
-            }
-        }
-
-        // Every grant is accounted for.
+        let mut fails = lease_invariants(
+            rt,
+            run.kernel.state.topo.num_cpus(),
+            [&run.protected, &run.donor],
+        );
         let s = rt.lease_stats();
-        let resolved = s.returned + s.expired + s.borrower_deaths + s.lender_deaths;
-        if s.granted != resolved + rt.leases().len() as u64 {
-            fails.push(format!(
-                "oracle-fail lease-accounting granted={} resolved={resolved} outstanding={}",
-                s.granted,
-                rt.leases().len()
-            ));
-        }
 
         // The donor must survive every arm, and both sides must have
         // made forward progress (the donor's light load always fits;
@@ -509,6 +479,48 @@ impl LendingScenario {
         }
         fails
     }
+}
+
+/// The lease invariants of a two-enclave lending run, on either
+/// backend: no stranded lease (every outstanding lease's CPU is owned
+/// by its borrower), no CPU owned by a dead enclave, and every grant
+/// accounted for (resolved + outstanding == granted). One
+/// `oracle-fail ...` line per violation.
+pub fn lease_invariants(
+    rt: &GhostRuntime,
+    cpus: usize,
+    enclaves: [&EnclaveHandle; 2],
+) -> Vec<String> {
+    let mut fails = Vec::new();
+    for l in rt.leases() {
+        if rt.cpu_owner(l.cpu) != Some(l.borrower) {
+            fails.push(format!(
+                "oracle-fail stranded-lease cpu={} borrower={:?} owner={:?}",
+                l.cpu.0,
+                l.borrower,
+                rt.cpu_owner(l.cpu)
+            ));
+        }
+    }
+    for c in 0..cpus as u16 {
+        if let Some(eid) = rt.cpu_owner(CpuId(c)) {
+            if !enclaves.iter().any(|e| e.id() == eid && e.alive()) {
+                fails.push(format!(
+                    "oracle-fail cpu-on-dead-enclave cpu={c} enclave={eid:?}"
+                ));
+            }
+        }
+    }
+    let s = rt.lease_stats();
+    let resolved = s.returned + s.expired + s.borrower_deaths + s.lender_deaths;
+    if s.granted != resolved + rt.leases().len() as u64 {
+        fails.push(format!(
+            "oracle-fail lease-accounting granted={} resolved={resolved} outstanding={}",
+            s.granted,
+            rt.leases().len()
+        ));
+    }
+    fails
 }
 
 impl Experiment for LendingScenario {

@@ -51,8 +51,8 @@ pub use bench::{bench_live_vs_sim, bench_sim, emit_bench_sim, emit_live_vs_sim, 
 pub use cache::{fnv64, fnv64_lines, Cache};
 pub use engine::{run_cases, run_sweep, Experiment, ExperimentResult, SweepItem, SweepReport};
 pub use lending::{
-    lease_reclaim_rows, lending_fault_matrix, lending_library, LendingFault, LendingRun,
-    LendingScenario, LendingWorkload,
+    lease_invariants, lease_reclaim_rows, lending_fault_matrix, lending_library, LendingFault,
+    LendingRun, LendingScenario, LendingWorkload,
 };
 pub use scenario::{
     attach_workload, GhostSim, LabRun, PolicyCaps, PolicyEntry, PolicyKind, RunSummary, Scenario,

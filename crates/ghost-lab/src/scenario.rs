@@ -208,9 +208,10 @@ impl WorkloadSpec {
     }
 }
 
-/// Stable one-line rendering of a fault event for spec strings. Field
-/// names match the `repro.json` vocabulary.
-fn fault_spec_line(fe: &FaultEvent) -> String {
+/// Stable one-line rendering of a fault event for spec strings. The
+/// `ghost-chaos` `repro.json` encoding is rendered from it, so the two
+/// share one vocabulary.
+pub fn fault_spec_line(fe: &FaultEvent) -> String {
     let body = match &fe.kind {
         FaultKind::AgentCrash { cpu } => format!("agent-crash cpu={}", cpu.0),
         FaultKind::AgentHang { cpu, dur } => format!("agent-hang cpu={} dur={dur}", cpu.0),

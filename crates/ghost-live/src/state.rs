@@ -24,6 +24,7 @@ use ghost_sim::class::{ClassId, OffCpuReason, CLASS_CFS, CLASS_GHOST, CLASS_IDLE
 use ghost_sim::costs::CostModel;
 use ghost_sim::cpuset::CpuSet;
 use ghost_sim::faults::{FaultPlan, IpiFate};
+use ghost_sim::settle_budget;
 use ghost_sim::thread::{ThreadKind, ThreadState, Tid};
 use ghost_sim::time::Nanos;
 use ghost_sim::topology::{CpuId, Topology};
@@ -31,7 +32,7 @@ use ghost_trace::{TraceEvent, TraceSink, NO_TID, PREV_BLOCKED, PREV_DEAD, PREV_R
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::cmp::Reverse;
-use std::collections::BinaryHeap;
+use std::collections::{BinaryHeap, VecDeque};
 use std::sync::{Arc, Condvar};
 use std::thread::JoinHandle;
 
@@ -162,16 +163,16 @@ pub struct LiveState {
     pub(crate) shutdown: bool,
 
     // Deferred operations, drained by `settle()` in DES priority order.
-    pending_class_moves: Vec<(Tid, ClassId)>,
-    pending_wakes: Vec<Tid>,
-    pending_kills: Vec<Tid>,
+    pending_class_moves: VecDeque<(Tid, ClassId)>,
+    pending_wakes: VecDeque<Tid>,
+    pending_kills: VecDeque<Tid>,
     /// `(cpu, arm_at)`: reschedule `cpu`, honouring the commit's arm
     /// time — `hook_pick_next` refuses slots whose IPI has not logically
     /// arrived, so an early resched re-arms a timer instead of dropping
     /// the dispatch on the floor.
-    pending_resched: Vec<(CpuId, Nanos)>,
+    pending_resched: VecDeque<(CpuId, Nanos)>,
     /// Agents created via the trait that still need an OS thread.
-    pending_spawns: Vec<(Tid, CpuId)>,
+    pending_spawns: VecDeque<(Tid, CpuId)>,
 
     pub(crate) timers: BinaryHeap<Reverse<TimerSlot>>,
     timer_seq: u64,
@@ -205,11 +206,11 @@ impl LiveState {
             stats: LiveStats::default(),
             runtime: None,
             shutdown: false,
-            pending_class_moves: Vec::new(),
-            pending_wakes: Vec::new(),
-            pending_kills: Vec::new(),
-            pending_resched: Vec::new(),
-            pending_spawns: Vec::new(),
+            pending_class_moves: VecDeque::new(),
+            pending_wakes: VecDeque::new(),
+            pending_kills: VecDeque::new(),
+            pending_resched: VecDeque::new(),
+            pending_spawns: VecDeque::new(),
             timers: BinaryHeap::new(),
             timer_seq: 0,
             timer_cv: Arc::new(Condvar::new()),
@@ -259,7 +260,7 @@ impl LiveState {
     /// agent's CPU when the agent blocks, and this is the live analogue.
     pub(crate) fn request_resched(&mut self, cpu: CpuId) {
         let now = self.clock.now();
-        self.pending_resched.push((cpu, now));
+        self.pending_resched.push_back((cpu, now));
     }
 
     fn arm_timer(&mut self, at: Nanos, entry: TimerEntry) {
@@ -290,8 +291,8 @@ impl LiveState {
             let Reverse(slot) = self.timers.pop().unwrap();
             self.stats.timers_fired += 1;
             match slot.entry {
-                TimerEntry::Wake(tid) => self.pending_wakes.push(tid),
-                TimerEntry::Resched(cpu) => self.pending_resched.push((cpu, slot.at)),
+                TimerEntry::Wake(tid) => self.pending_wakes.push_back(tid),
+                TimerEntry::Resched(cpu) => self.pending_resched.push_back((cpu, slot.at)),
                 entry => due.push(entry),
             }
         }
@@ -299,7 +300,8 @@ impl LiveState {
     }
 
     /// Applies deferred operations until quiescent, in the DES's priority
-    /// order. Mirrors `ghost-sim`'s `Kernel::settle`.
+    /// order, under the same [`settle_budget`] livelock guard as
+    /// `ghost-sim`'s `Kernel::settle`.
     pub(crate) fn settle(&mut self) {
         if self.shutdown {
             self.pending_class_moves.clear();
@@ -311,21 +313,21 @@ impl LiveState {
         let Some(rt) = self.runtime.clone() else {
             return;
         };
-        for _ in 0..100_000 {
-            if !self.pending_class_moves.is_empty() {
-                let (tid, class) = self.pending_class_moves.remove(0);
+        let queued = self.pending_class_moves.len()
+            + self.pending_wakes.len()
+            + self.pending_kills.len()
+            + self.pending_resched.len()
+            + self.pending_spawns.len();
+        for _ in 0..settle_budget(queued) {
+            if let Some((tid, class)) = self.pending_class_moves.pop_front() {
                 self.apply_class_move(&rt, tid, class);
-            } else if !self.pending_wakes.is_empty() {
-                let tid = self.pending_wakes.remove(0);
+            } else if let Some(tid) = self.pending_wakes.pop_front() {
                 self.apply_wake(&rt, tid);
-            } else if !self.pending_kills.is_empty() {
-                let tid = self.pending_kills.remove(0);
+            } else if let Some(tid) = self.pending_kills.pop_front() {
                 self.apply_kill(&rt, tid);
-            } else if !self.pending_resched.is_empty() {
-                let (cpu, at) = self.pending_resched.remove(0);
+            } else if let Some((cpu, at)) = self.pending_resched.pop_front() {
                 self.apply_resched(&rt, cpu, at);
-            } else if !self.pending_spawns.is_empty() {
-                let (tid, cpu) = self.pending_spawns.remove(0);
+            } else if let Some((tid, cpu)) = self.pending_spawns.pop_front() {
                 self.spawn_agent_thread(tid, cpu);
             } else {
                 return;
@@ -501,7 +503,7 @@ impl LiveState {
         if class == CLASS_GHOST {
             rt.hook_put_prev(self, tid, cpu, reason);
         }
-        self.pending_resched.push((cpu, now));
+        self.pending_resched.push_back((cpu, now));
         self.settle();
     }
 
@@ -537,7 +539,7 @@ impl LiveState {
                 }
                 // The OS thread itself finds out at its next stint
                 // boundary (preempt flag + Exit command below).
-                self.pending_resched.push((cpu, now));
+                self.pending_resched.push_back((cpu, now));
             }
             ThreadState::Runnable => {
                 if class == CLASS_GHOST {
@@ -594,7 +596,7 @@ impl LiveState {
                         self.threads[tid.index()].ctl.set_preempt();
                         let _ = cpu;
                     } else {
-                        self.pending_resched.push((cpu, self.clock.now()));
+                        self.pending_resched.push_back((cpu, self.clock.now()));
                     }
                 }
             }
@@ -745,23 +747,23 @@ impl GhostBackend for LiveState {
     }
 
     fn wake(&mut self, tid: Tid) {
-        self.pending_wakes.push(tid);
+        self.pending_wakes.push_back(tid);
     }
 
     fn wake_at(&mut self, at: Nanos, tid: Tid) {
         if at <= self.clock.now() + IMMEDIATE_SLACK_NS {
-            self.pending_wakes.push(tid);
+            self.pending_wakes.push_back(tid);
         } else {
             self.arm_timer(at, TimerEntry::Wake(tid));
         }
     }
 
     fn kill(&mut self, tid: Tid) {
-        self.pending_kills.push(tid);
+        self.pending_kills.push_back(tid);
     }
 
     fn move_to_class(&mut self, tid: Tid, class: ClassId) {
-        self.pending_class_moves.push((tid, class));
+        self.pending_class_moves.push_back((tid, class));
     }
 
     fn send_ipi(&mut self, cpu: CpuId, at: Nanos) {
@@ -775,10 +777,11 @@ impl GhostBackend for LiveState {
         // re-arms a timer when the (possibly stretched) `at` is still in
         // the future (the slot's arm gate would refuse an early pick).
         match self.faults.ipi_fate(now) {
-            IpiFate::Normal => self.pending_resched.push((cpu, at)),
+            IpiFate::Normal => self.pending_resched.push_back((cpu, at)),
             IpiFate::Delayed(extra) => {
                 self.stats.ipis_delayed += 1;
-                self.pending_resched.push((cpu, at.saturating_add(extra)));
+                self.pending_resched
+                    .push_back((cpu, at.saturating_add(extra)));
             }
             IpiFate::Lost => self.stats.ipis_lost += 1,
         }
@@ -790,7 +793,7 @@ impl GhostBackend for LiveState {
 
     fn schedule_agent_loop(&mut self, at: Nanos, tid: Tid) {
         if at <= self.clock.now() + IMMEDIATE_SLACK_NS {
-            self.pending_wakes.push(tid);
+            self.pending_wakes.push_back(tid);
         } else {
             self.arm_timer(at, TimerEntry::AgentLoop(tid));
         }
@@ -815,7 +818,7 @@ impl GhostBackend for LiveState {
             ctl,
             join: None,
         });
-        self.pending_spawns.push((tid, cpu));
+        self.pending_spawns.push_back((tid, cpu));
         tid
     }
 

@@ -422,6 +422,16 @@ impl ThreadSpec {
     }
 }
 
+/// Livelock guard for a settle loop that starts with `queued` deferred
+/// operations, shared by every backend's settle loop. Scaled to the work
+/// already queued: a mass wake of N threads legitimately takes N
+/// iterations (the bench-sim scale sweep wakes a million at once), while
+/// a genuine livelock — operations endlessly re-deferring each other —
+/// still trips the bound because it never drains the backlog.
+pub fn settle_budget(queued: usize) -> usize {
+    100_000.max(4 * queued)
+}
+
 impl Kernel {
     /// Boots a machine with the default class hierarchy: Agent, RT-FIFO,
     /// CFS, a null ghOSt slot (install the real one via
@@ -629,19 +639,13 @@ impl Kernel {
 
     /// Applies deferred operations until the machine is quiescent.
     fn settle(&mut self) {
-        // Livelock guard, scaled to the work already queued: a mass wake
-        // of N threads legitimately takes N iterations (the bench-sim
-        // scale sweep wakes a million at once), while a genuine livelock
-        // — operations endlessly re-deferring each other — still trips
-        // the bound because it never drains the backlog.
         let queued = self.state.pending_class_moves.len()
             + self.state.pending_wakes.len()
             + self.state.pending_affinity.len()
             + self.state.pending_nice.len()
             + self.state.pending_kills.len()
             + self.state.pending_resched.len();
-        let budget = 100_000.max(4 * queued);
-        for _ in 0..budget {
+        for _ in 0..settle_budget(queued) {
             if let Some((tid, class)) = self.state.pending_class_moves.pop_front() {
                 self.apply_class_move(tid, class);
             } else if let Some(tid) = self.state.pending_wakes.pop_front() {
