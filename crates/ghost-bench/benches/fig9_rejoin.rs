@@ -53,7 +53,7 @@ fn rejoin_latency(n: usize) -> (u64, u64) {
 
     enclave.stage_upgrade(Box::new(CentralizedFifo::new()));
     let t0 = kernel.state.now;
-    assert!(enclave.upgrade_now(&mut kernel.state));
+    assert!(enclave.try_upgrade_now(&mut kernel.state).is_ok());
     kernel.run_until(t0 + 300 * MILLIS);
 
     assert_eq!(sink.dropped(), 0, "trace ring too small for n={n}");

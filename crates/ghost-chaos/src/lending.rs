@@ -191,7 +191,7 @@ pub fn run_lending_live(combo: &LendingLiveCombo) -> Outcome<LendingLiveReport> 
     let eid = protected.id();
     let apply = |step: &LiveStep, failures: &mut Vec<Failure>| match step {
         LiveStep::LendIfIdle { dur } => {
-            if rt.borrowed_by(eid).is_empty() {
+            if protected.borrowed_cpus().is_empty() {
                 let lent = donor
                     .cpus()
                     .iter()
@@ -220,7 +220,7 @@ pub fn run_lending_live(combo: &LendingLiveCombo) -> Outcome<LendingLiveReport> 
             }
         }
         LiveStep::ReclaimBorrowed => {
-            if let Some(&cpu) = rt.borrowed_by(eid).first() {
+            if let Some(&cpu) = protected.borrowed_cpus().first() {
                 let _ = kernel.reclaim_cpu(cpu);
             }
         }

@@ -286,7 +286,8 @@ impl KvLoad {
                 });
                 break;
             }
-            self.kv.set_degraded(kernel.runtime().enclave_degraded(eid));
+            self.kv
+                .set_degraded(kernel.runtime().handle(eid).degraded());
             self.kv.pump_delayed(kernel.now());
             if self.kv.depth() > 0 {
                 kernel.wake_one_blocked(&self.workers);

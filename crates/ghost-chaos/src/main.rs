@@ -25,7 +25,7 @@ fn usage() -> ! {
     eprintln!(
         "usage: ghost-chaos [MODE] [--combos N] [--seed-base S] [--out DIR] [--policy NAME] \
          [--bench-out F] [--jobs N] [--cache DIR] [--digest FILE]\n\
-         \x20      ghost-chaos --replay FILE\n\
+         \x20      ghost-chaos --replay FILE    (no other flags)\n\
          \n\
          Sweeps N (policy x workload x fault-plan x seed) combos through the\n\
          simulated ghOSt runtime. Failing combos are shrunk to a minimal fault\n\
@@ -94,8 +94,14 @@ fn parse_args() -> (Option<String>, &'static dyn Driver, SweepOpts) {
     };
     let (mut flag, mut mode) = MODES[0];
     let mut replay = None;
+    // The first argument other than `--replay`: a replay takes every
+    // setting from its repro file, so any other flag is refused.
+    let mut other = None;
     let mut args = std::env::args().skip(1);
     while let Some(arg) = args.next() {
+        if arg != "--replay" && other.is_none() {
+            other = Some(arg.clone());
+        }
         let mut value = |name: &str| {
             args.next()
                 .unwrap_or_else(|| reject(&format!("{name} needs a value")))
@@ -133,6 +139,9 @@ fn parse_args() -> (Option<String>, &'static dyn Driver, SweepOpts) {
             "--help" | "-h" => usage(),
             other => reject(&format!("unknown argument '{other}'")),
         }
+    }
+    if let (Some(_), Some(other)) = (&replay, &other) {
+        reject(&format!("--replay takes no other flags (got {other})"));
     }
     let flag = flag.unwrap_or("the fault sweep");
     if !mode.deterministic() {

@@ -121,7 +121,7 @@ pub fn evaluate(
     // Liveness: fallback-to-CFS completes. Once the enclave is gone,
     // every surviving workload thread must actually be back under CFS —
     // a thread left in the ghOSt class has no scheduler at all.
-    if !runtime.enclave_alive(enclave) {
+    if !runtime.handle(enclave).alive() {
         for &tid in workload {
             let th = k.thread(tid);
             if th.state != ThreadState::Dead && th.class != CLASS_CFS {
@@ -156,7 +156,7 @@ pub fn evaluate(
                     });
                 }
                 Some(_) => {}
-                None if runtime.enclave_alive(enclave) => {
+                None if runtime.handle(enclave).alive() => {
                     failures.push(Failure {
                         oracle: "recovery-slo",
                         detail: format!(
@@ -173,7 +173,7 @@ pub fn evaluate(
         // again — none left stranded on the transient CFS excursion.
         // Threads the commit governor shed to CFS are exempt (shedding
         // is deliberate), so only shed-free runs are checked.
-        if !spans.is_empty() && runtime.enclave_alive(enclave) && runtime.stats().estale_sheds == 0
+        if !spans.is_empty() && runtime.handle(enclave).alive() && runtime.stats().estale_sheds == 0
         {
             for &tid in workload {
                 let th = k.thread(tid);

@@ -25,6 +25,12 @@ fn assert_rejected(name: &str, args: &[&str]) {
     assert!(written.is_empty(), "{args:?} wrote output before refusing");
 }
 
+/// A checked-in repro that replays cleanly on its own.
+const REPRO: &str = concat!(
+    env!("CARGO_MANIFEST_DIR"),
+    "/tests/repros/faults-shinjuku.json"
+);
+
 macro_rules! rejects {
     ($($name:ident: [$($arg:expr),*];)*) => {$(
         #[test]
@@ -46,6 +52,11 @@ rejects! {
     bench_out_on_faults: ["--bench-out", "bench.json"];
     bench_out_on_recovery: ["--recovery", "--bench-out", "bench.json"];
     bench_out_on_byzantine: ["--byzantine", "--bench-out", "bench.json"];
+    replay_with_digest: ["--replay", REPRO, "--digest", "x.txt"];
+    replay_with_sweep_flags: ["--combos", "5", "--policy", "per-cpu", "--seed-base", "9", "--replay", REPRO];
+    replay_with_jobs: ["--replay", REPRO, "--jobs", "4"];
+    replay_with_mode: ["--recovery", "--replay", REPRO];
+    replay_with_out: ["--replay", REPRO, "--out", "out"];
 }
 
 /// The usage text gives every mode's default combo count.

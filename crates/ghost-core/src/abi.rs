@@ -78,8 +78,7 @@ pub enum AbiError {
     /// The CPU is under an active lease (already lent out, or cannot be
     /// lent again / destroyed out from under the borrower).
     CpuLeased,
-    /// `reclaim_cpus()` named a CPU with no active lease between the
-    /// two enclaves.
+    /// `try_reclaim_cpu()` named a CPU with no active lease.
     NotLeased,
 }
 

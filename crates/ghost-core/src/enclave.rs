@@ -282,6 +282,61 @@ pub struct Enclave {
 }
 
 impl Enclave {
+    /// Appends a queue of the configured capacity with the given wakeup
+    /// behaviour and returns its id (`CREATE_QUEUE()`).
+    pub(crate) fn add_queue(&mut self, wake: WakeMode) -> QueueId {
+        let id = QueueId(self.queues.len() as u32);
+        self.queues.push(Some(QueueState {
+            queue: MessageQueue::new(self.config.queue_capacity),
+            wake,
+        }));
+        id
+    }
+
+    /// Routes `cpu`'s messages for its newly installed `agent`. Per-CPU
+    /// mode gives the CPU its own queue, woken by that agent. Per-core
+    /// mode joins the core queue of an SMT sibling in `core_cpus`, or
+    /// opens one for the core. Centralized enclaves keep every CPU on
+    /// the default queue.
+    pub(crate) fn wire_cpu_queue(&mut self, core_cpus: CpuSet, cpu: CpuId, agent: Tid) {
+        let qid = match self.config.mode {
+            AgentMode::Centralized => return,
+            AgentMode::PerCpu => self.add_queue(WakeMode::WakeAgent(agent)),
+            AgentMode::PerCore => {
+                let sibling_q = core_cpus
+                    .iter()
+                    .find_map(|c| self.cpu_queues.get(c).copied());
+                sibling_q.unwrap_or_else(|| self.add_queue(WakeMode::WakeEventCpuAgent))
+            }
+        };
+        self.cpu_queues.insert(cpu, qid);
+    }
+
+    /// Raises the §3.4 reconstruct barrier for an incoming policy: its
+    /// next activation rebuilds from a status-word scan, the watchdog
+    /// measures starvation from `now`, and every agent's `Aseq` moves so
+    /// commits prepared against the old view fail `ESTALE`.
+    pub(crate) fn raise_reconstruct_barrier(&mut self, now: Nanos) {
+        self.needs_reconstruct = true;
+        self.upgraded_at = Some(now);
+        for slot in self.agents.values() {
+            slot.status.bump_seq();
+        }
+    }
+
+    /// Hands the default queue's wakeups to the lowest-CPU agent if the
+    /// departed agent owned them.
+    pub(crate) fn rehome_default_queue(&mut self, departed: Tid) {
+        let successor = self.agents.values().min_by_key(|a| a.cpu.0).map(|a| a.tid);
+        if let Some(Some(qs)) = self.queues.get_mut(self.default_queue.0 as usize) {
+            if let (WakeMode::WakeAgent(owner), Some(succ)) = (qs.wake, successor) {
+                if owner == departed {
+                    qs.wake = WakeMode::WakeAgent(succ);
+                }
+            }
+        }
+    }
+
     /// Pops every message from `qid` into a vector (consumer side),
     /// updating per-thread pending counts.
     pub fn drain_queue(&mut self, qid: QueueId) -> Vec<Message> {

@@ -25,15 +25,15 @@
 //!
 //! | paper syscall | here |
 //! |---|---|
-//! | `AGENT_INIT()` | [`runtime::GhostRuntime::spawn_agents`] |
-//! | `START_GHOST()` | [`runtime::GhostRuntime::attach_thread`] |
+//! | `AGENT_INIT()` | [`runtime::GhostRuntime::spawn_agents`] (one path for every backend) |
+//! | `START_GHOST()` | [`runtime::EnclaveHandle::try_attach_thread`] |
 //! | `TXN_CREATE()` | [`txn::Transaction::new`] |
 //! | `TXNS_COMMIT()` | [`policy::PolicyCtx::commit`] / `commit_atomic` / `commit_one` |
-//! | `TXNS_RECALL()` | [`policy::PolicyCtx::recall`] |
+//! | `TXNS_RECALL()` | [`policy::PolicyCtx::try_recall`] |
 //! | `CREATE_QUEUE()` | [`policy::PolicyCtx::create_queue`] |
-//! | `DESTROY_QUEUE()` | [`policy::PolicyCtx::destroy_queue`] |
-//! | `ASSOCIATE_QUEUE()` | [`policy::PolicyCtx::associate_queue`] |
-//! | `CONFIG_QUEUE_WAKEUP()` | [`policy::PolicyCtx::config_queue_wakeup`] |
+//! | `DESTROY_QUEUE()` | [`policy::PolicyCtx::try_destroy_queue`] |
+//! | `ASSOCIATE_QUEUE()` | [`policy::PolicyCtx::try_associate_queue`] |
+//! | `CONFIG_QUEUE_WAKEUP()` | [`policy::PolicyCtx::try_config_queue_wakeup`] |
 //!
 //! Partitioning, fault isolation, and upgrades (§3.4) live in
 //! [`enclave`] and [`runtime`]: enclaves own CPU sets, the watchdog
@@ -65,6 +65,6 @@ pub use policy::{GhostPolicy, PolicyCtx, ThreadView};
 pub use queue::MessageQueue;
 pub use recovery::{CommitGovernor, StaleVerdict, StandbyConfig, ThreadSnapshot};
 pub use rm::{EnclaveHealth, RmConfig, RmDecision, RmState, RmStats};
-pub use runtime::{EnclaveHandle, GhostHandle, GhostRuntime, GhostStats};
+pub use runtime::{EnclaveHandle, GhostRuntime, GhostStats};
 pub use status::StatusWord;
 pub use txn::{SeqConstraint, Transaction, TxnStatus};

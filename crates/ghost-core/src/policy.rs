@@ -215,15 +215,9 @@ impl<'a> PolicyCtx<'a> {
     }
 
     /// `ASSOCIATE_QUEUE()`: reroutes a thread's messages to `queue`.
-    /// Fails (returning `false`) if the thread has pending messages in
-    /// its current queue, per §3.1.
-    pub fn associate_queue(&mut self, tid: Tid, queue: QueueId) -> bool {
-        self.try_associate_queue(tid, queue).is_ok()
-    }
-
-    /// Validated `ASSOCIATE_QUEUE()`: rejects destroyed or nonexistent
-    /// queues, unmanaged tids, and threads with pending messages with a
-    /// typed [`AbiError`].
+    /// Rejects destroyed or nonexistent queues, unmanaged tids, and —
+    /// per §3.1 — threads with pending messages in their current queue
+    /// with a typed [`AbiError`].
     pub fn try_associate_queue(&mut self, tid: Tid, queue: QueueId) -> Result<(), AbiError> {
         if self
             .enclave
@@ -249,14 +243,9 @@ impl<'a> PolicyCtx<'a> {
 
     /// `TXNS_RECALL()`: withdraws a committed-but-not-yet-acted-on
     /// transaction from `cpu`, returning the thread it would have run.
-    /// The thread becomes schedulable again immediately. Returns `None`
-    /// if no transaction was pending (it may already have been picked).
-    pub fn recall(&mut self, cpu: CpuId) -> Option<Tid> {
-        self.try_recall(cpu).ok()
-    }
-
-    /// Validated `TXNS_RECALL()`: rejects forged or out-of-enclave CPU
-    /// ids and CPUs with nothing pending with a typed [`AbiError`].
+    /// The thread becomes schedulable again immediately. Rejects forged
+    /// or out-of-enclave CPU ids and CPUs with nothing pending (the
+    /// commit may already have been picked) with a typed [`AbiError`].
     pub fn try_recall(&mut self, cpu: CpuId) -> Result<Tid, AbiError> {
         if !self.k.valid_cpu(cpu) {
             return Err(self.reject(AbiError::InvalidCpu));
@@ -276,13 +265,8 @@ impl<'a> PolicyCtx<'a> {
     }
 
     /// `DESTROY_QUEUE()`: removes a queue. Fails if it is the default
-    /// queue, still has messages, or any thread is associated with it.
-    pub fn destroy_queue(&mut self, queue: QueueId) -> bool {
-        self.try_destroy_queue(queue).is_ok()
-    }
-
-    /// Validated `DESTROY_QUEUE()`: each failure mode gets its own typed
-    /// [`AbiError`].
+    /// queue, still has messages, or any thread is associated with it;
+    /// each failure mode gets its own typed [`AbiError`].
     pub fn try_destroy_queue(&mut self, queue: QueueId) -> Result<(), AbiError> {
         if queue == self.enclave.default_queue {
             return Err(self.reject(AbiError::DefaultQueueProtected));
@@ -321,25 +305,15 @@ impl<'a> PolicyCtx<'a> {
 
     /// `CREATE_QUEUE()`: creates a new queue, polled by default.
     pub fn create_queue(&mut self) -> QueueId {
-        let cap = self.enclave.config.queue_capacity;
-        let id = QueueId(self.enclave.queues.len() as u32);
-        self.enclave.queues.push(Some(crate::enclave::QueueState {
-            queue: crate::queue::MessageQueue::new(cap),
-            wake: WakeMode::Polled,
-        }));
-        id
+        self.enclave.add_queue(WakeMode::Polled)
     }
 
     /// `CONFIG_QUEUE_WAKEUP()`: sets the wakeup behaviour of a queue.
-    pub fn config_queue_wakeup(&mut self, queue: QueueId, wake: WakeMode) -> bool {
-        self.try_config_queue_wakeup(queue, wake).is_ok()
-    }
-
-    /// Validated `CONFIG_QUEUE_WAKEUP()`: rejects destroyed/nonexistent
-    /// queues and `WakeAgent` targets that are not this enclave's agents
-    /// with a typed [`AbiError`]. The target check matters for safety: a
-    /// forged wake target would otherwise be dereferenced by the kernel
-    /// on every message posted to the queue.
+    /// Rejects destroyed/nonexistent queues and `WakeAgent` targets that
+    /// are not this enclave's agents with a typed [`AbiError`]. The
+    /// target check matters for safety: a forged wake target would
+    /// otherwise be dereferenced by the kernel on every message posted
+    /// to the queue.
     pub fn try_config_queue_wakeup(
         &mut self,
         queue: QueueId,

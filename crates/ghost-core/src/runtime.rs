@@ -9,15 +9,16 @@
 //!   (or the PNT fast path).
 //! * [`GhostDriver`] — runs agent activations: drain queue → policy →
 //!   commit, with all costs charged to virtual time.
-//! * [`GhostHandle`] (a clone of the runtime) — the "userspace process"
-//!   view: create enclaves, spawn agents, attach threads, stage upgrades,
-//!   inject crashes, read stats.
+//! * [`EnclaveHandle`] — the "userspace process" view of one enclave:
+//!   attach threads, stage upgrades, lend CPUs, tear down. The runtime
+//!   itself keeps only the machine-wide calls (launch, hints, stats,
+//!   leases, the resource manager).
 
 use crate::abi::{AbiError, ABI_ERROR_KINDS};
 use crate::backend::GhostBackend;
 use crate::enclave::{
-    AgentMode, AgentSlot, CommittedSlot, Enclave, EnclaveConfig, EnclaveId, QueueId, QueueState,
-    ThreadInfo, WakeMode,
+    AgentMode, AgentSlot, CommittedSlot, Enclave, EnclaveConfig, EnclaveId, QueueId, ThreadInfo,
+    WakeMode,
 };
 use crate::lease::{
     decode_lease_timer_key, lease_timer_key, Lease, LeaseStats, LeaseTable, RevokeReason,
@@ -26,7 +27,6 @@ use crate::lease::{
 use crate::msg::{Message, MsgType};
 use crate::pnt::PntRings;
 use crate::policy::{GhostPolicy, PolicyCtx};
-use crate::queue::MessageQueue;
 use crate::recovery::{RecoveryState, StandbyConfig, ThreadSnapshot, RESPAWN_TIMER_FLAG};
 use crate::rm::{EnclaveHealth, RmConfig, RmDecision, RmState, RmStats};
 use crate::slab::{CpuMap, TidMap, TidSlab};
@@ -36,13 +36,12 @@ use ghost_sim::agent::{AgentDriver, AgentOutcome};
 use ghost_sim::class::{OffCpuReason, SchedClass, CLASS_CFS, CLASS_GHOST};
 use ghost_sim::cpuset::CpuSet;
 use ghost_sim::faults::FaultKind;
-use ghost_sim::kernel::{Kernel, KernelState, ThreadSpec};
+use ghost_sim::kernel::{Kernel, KernelState};
 use ghost_sim::thread::{ThreadState, Tid};
 use ghost_sim::time::Nanos;
 use ghost_sim::topology::CpuId;
 use ghost_trace::TraceEvent;
-use std::collections::HashMap;
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, MutexGuard};
 
 /// Counters describing everything the runtime did.
 #[derive(Debug, Default, Clone)]
@@ -197,8 +196,56 @@ fn core_key_of(k: &dyn GhostBackend, cpu: CpuId) -> CpuId {
 }
 
 impl Core {
+    fn enclave(&self, id: EnclaveId) -> Option<&Enclave> {
+        self.enclaves.get(id.0 as usize)?.as_ref()
+    }
+
     fn enclave_mut(&mut self, id: EnclaveId) -> Option<&mut Enclave> {
         self.enclaves.get_mut(id.0 as usize)?.as_mut()
+    }
+
+    /// Spawns an agent pthread pinned to `cpu` (starting blocked),
+    /// registers it with `eid`, and gives it an attached status word in
+    /// the enclave's agent table. The caller wires its queue and wakes it.
+    fn install_agent(
+        &mut self,
+        k: &mut dyn GhostBackend,
+        eid: EnclaveId,
+        cpu: CpuId,
+        role: &str,
+    ) -> Tid {
+        let tid = k.spawn_agent(&format!("ghost-{role}-e{}-c{}", eid.0, cpu.0), cpu);
+        self.agent_enclave.insert(tid, (eid, cpu));
+        if let Some(enclave) = self.enclave_mut(eid) {
+            let status = StatusWord::new();
+            status.set_flags(SW_ATTACHED);
+            enclave.agents.insert(cpu, AgentSlot { tid, cpu, status });
+        }
+        tid
+    }
+
+    /// Reclaims a degraded enclave's stashed threads: raises the
+    /// reconstruct barrier, then re-attaches every live stashed thread in
+    /// tid order (`hook_attach` restores its preserved state); dead ones
+    /// are dropped from the stash.
+    fn reclaim_stashed(&mut self, k: &mut dyn GhostBackend, eid: EnclaveId) {
+        let Some(enclave) = self.enclaves[eid.0 as usize].as_mut() else {
+            return;
+        };
+        enclave.raise_reconstruct_barrier(k.now());
+        let Some(r) = enclave.recovery.as_mut() else {
+            return;
+        };
+        let mut tids: Vec<Tid> = r.stashed.tids().collect();
+        tids.sort_by_key(|t| t.0);
+        for t in tids {
+            if k.thread(t).state == ThreadState::Dead {
+                r.stashed.remove(t);
+                continue;
+            }
+            self.pending_attach.insert(t, eid);
+            k.move_to_class(t, CLASS_GHOST);
+        }
     }
 
     fn enclave_of_cpu(&self, cpu: CpuId) -> Option<EnclaveId> {
@@ -609,19 +656,7 @@ impl Core {
                 info.picked = false;
             }
         }
-        // Hand the default queue to the lowest-CPU survivor if the dead
-        // agent owned its wakeups.
-        let mut survivors: Vec<(CpuId, Tid)> =
-            enclave.agents.values().map(|a| (a.cpu, a.tid)).collect();
-        survivors.sort_by_key(|&(c, _)| c.0);
-        let dq = enclave.default_queue;
-        if let Some(Some(qs)) = enclave.queues.get_mut(dq.0 as usize) {
-            if qs.wake == WakeMode::WakeAgent(dead_agent) {
-                if let Some(&(_, succ)) = survivors.first() {
-                    qs.wake = WakeMode::WakeAgent(succ);
-                }
-            }
-        }
+        enclave.rehome_default_queue(dead_agent);
         // Organic departure: the class move posts THREAD_DEAD, so the
         // surviving agents forget the victims.
         for t in victims {
@@ -819,139 +854,100 @@ impl Core {
     /// `cpu_enclave` by attaching the CPU to its new enclave.
     fn lease_detach_cpu(&mut self, k: &mut dyn GhostBackend, eid: EnclaveId, cpu: CpuId) {
         let mut kill_agent: Option<Tid> = None;
-        {
-            let Some(enclave) = self.enclaves[eid.0 as usize].as_mut() else {
-                self.cpu_enclave[cpu.index()] = None;
-                return;
-            };
-            enclave.cpus.remove(cpu);
+        let Some(enclave) = self.enclaves[eid.0 as usize].as_mut() else {
             self.cpu_enclave[cpu.index()] = None;
-            // Recall an in-flight commit targeting the departing CPU;
-            // the thread stays runnable and is rescheduled elsewhere.
-            if let Some(slot) = enclave.committed.remove(cpu) {
-                if let Some(info) = enclave.threads.get_mut(slot.tid) {
-                    info.picked = false;
-                }
+            return;
+        };
+        enclave.cpus.remove(cpu);
+        self.cpu_enclave[cpu.index()] = None;
+        // Recall an in-flight commit targeting the departing CPU;
+        // the thread stays runnable and is rescheduled elsewhere.
+        if let Some(slot) = enclave.committed.remove(cpu) {
+            if let Some(info) = enclave.threads.get_mut(slot.tid) {
+                info.picked = false;
             }
-            match enclave.config.mode {
-                AgentMode::Centralized => {
-                    // A parked hot-standby on the lent CPU stays blocked
-                    // in place: handoffs scan `enclave.cpus`, which no
-                    // longer includes this CPU, so it is never woken
-                    // while the lease is out. (Lending the global
-                    // agent's own seat is rejected up front.)
+        }
+        match enclave.config.mode {
+            AgentMode::Centralized => {
+                // A parked hot-standby on the lent CPU stays blocked
+                // in place: handoffs scan `enclave.cpus`, which no
+                // longer includes this CPU, so it is never woken
+                // while the lease is out. (Lending the global
+                // agent's own seat is rejected up front.)
+            }
+            AgentMode::PerCpu | AgentMode::PerCore => {
+                if let Some(slot) = enclave.agents.remove(cpu) {
+                    kill_agent = Some(slot.tid);
+                    if enclave.global_agent == Some(slot.tid) {
+                        enclave.global_agent = None;
+                    }
+                    let key = core_key_of(k, cpu);
+                    if enclave.core_active.get(key) == Some(&slot.tid) {
+                        enclave.core_active.remove(key);
+                    }
                 }
-                AgentMode::PerCpu | AgentMode::PerCore => {
-                    if let Some(slot) = enclave.agents.remove(cpu) {
-                        kill_agent = Some(slot.tid);
-                        if enclave.global_agent == Some(slot.tid) {
-                            enclave.global_agent = None;
-                        }
-                        let key = core_key_of(k, cpu);
-                        if enclave.core_active.get(key) == Some(&slot.tid) {
-                            enclave.core_active.remove(key);
-                        }
-                    }
-                    if let Some(qid) = enclave.cpu_queues.remove(cpu) {
-                        let dq = enclave.default_queue;
-                        // Per-core queues are shared with the SMT
-                        // sibling; only tear a queue down once no CPU
-                        // routes to it.
-                        let still_routed = enclave.cpu_queues.values().any(|&q| q == qid);
-                        if qid != dq && !still_routed {
-                            // Orphaned queue: splice its pending
-                            // messages into the default queue (messages
-                            // stay produced-but-unconsumed, so the
-                            // per-thread pending counts are restored)
-                            // and re-home its threads.
-                            let mut buf = Vec::new();
-                            enclave.drain_queue_into(qid, &mut buf);
-                            let mut moved: Vec<Tid> = Vec::new();
-                            if let Some(Some(qs)) = enclave.queues.get_mut(dq.0 as usize) {
-                                for m in buf {
-                                    let t = m.ty.is_thread_msg().then_some(m.tid);
-                                    if qs.queue.push(m).is_ok() {
-                                        if let Some(t) = t {
-                                            moved.push(t);
-                                        }
-                                    }
-                                }
-                            }
-                            for t in moved {
-                                if let Some(info) = enclave.threads.get_mut(t) {
-                                    info.pending_msgs += 1;
-                                }
-                            }
-                            for t in enclave.threads.sorted_tids() {
-                                if let Some(info) = enclave.threads.get_mut(t) {
-                                    if info.queue == qid {
-                                        info.queue = dq;
-                                    }
-                                }
-                            }
-                            enclave.queues[qid.0 as usize] = None;
-                        }
-                    }
-                    // Hand the default queue to the lowest-CPU survivor
-                    // if the departing agent owned its wakeups.
-                    if let Some(dead) = kill_agent {
-                        let mut survivors: Vec<(CpuId, Tid)> =
-                            enclave.agents.values().map(|a| (a.cpu, a.tid)).collect();
-                        survivors.sort_by_key(|&(c, _)| c.0);
-                        let dq = enclave.default_queue;
+                if let Some(qid) = enclave.cpu_queues.remove(cpu) {
+                    let dq = enclave.default_queue;
+                    // Per-core queues are shared with the SMT
+                    // sibling; only tear a queue down once no CPU
+                    // routes to it.
+                    let still_routed = enclave.cpu_queues.values().any(|&q| q == qid);
+                    if qid != dq && !still_routed {
+                        // Orphaned queue: splice its pending
+                        // messages into the default queue (messages
+                        // stay produced-but-unconsumed, so the
+                        // per-thread pending counts are restored)
+                        // and re-home its threads.
+                        let mut buf = Vec::new();
+                        enclave.drain_queue_into(qid, &mut buf);
+                        let mut moved: Vec<Tid> = Vec::new();
                         if let Some(Some(qs)) = enclave.queues.get_mut(dq.0 as usize) {
-                            if qs.wake == WakeMode::WakeAgent(dead) {
-                                if let Some(&(_, succ)) = survivors.first() {
-                                    qs.wake = WakeMode::WakeAgent(succ);
+                            for m in buf {
+                                let t = m.ty.is_thread_msg().then_some(m.tid);
+                                if qs.queue.push(m).is_ok() {
+                                    if let Some(t) = t {
+                                        moved.push(t);
+                                    }
                                 }
                             }
                         }
-                    }
-                }
-            }
-            // Revoke-during-reconstruction: a pending respawn for this
-            // CPU is cancelled. If that was the last pending CPU and
-            // stashed threads remain, reclaim them through the
-            // surviving agents right away — a lease reclaim must never
-            // leave recovery wedged waiting on a CPU that left.
-            let mut reclaim_stashed = false;
-            let mut recovery_done = false;
-            if let Some(r) = enclave.recovery.as_mut() {
-                r.pending_cpus.retain(|&c| c != cpu);
-                if r.pending_cpus.is_empty() {
-                    if r.stashed.is_empty() {
-                        recovery_done = true;
-                    } else {
-                        reclaim_stashed = true;
-                    }
-                }
-            }
-            if recovery_done {
-                enclave.recovery = None;
-            }
-            if reclaim_stashed {
-                enclave.needs_reconstruct = true;
-                enclave.upgraded_at = Some(k.now());
-                for slot in enclave.agents.values() {
-                    slot.status.bump_seq();
-                }
-                let mut tids: Vec<Tid> = enclave
-                    .recovery
-                    .as_ref()
-                    .map(|r| r.stashed.tids().collect())
-                    .unwrap_or_default();
-                tids.sort_by_key(|t| t.0);
-                for t in tids {
-                    if k.thread(t).state == ThreadState::Dead {
-                        if let Some(r) = enclave.recovery.as_mut() {
-                            r.stashed.remove(t);
+                        for t in moved {
+                            if let Some(info) = enclave.threads.get_mut(t) {
+                                info.pending_msgs += 1;
+                            }
                         }
-                        continue;
+                        for t in enclave.threads.sorted_tids() {
+                            if let Some(info) = enclave.threads.get_mut(t) {
+                                if info.queue == qid {
+                                    info.queue = dq;
+                                }
+                            }
+                        }
+                        enclave.queues[qid.0 as usize] = None;
                     }
-                    self.pending_attach.insert(t, eid);
-                    k.move_to_class(t, CLASS_GHOST);
+                }
+                if let Some(dead) = kill_agent {
+                    enclave.rehome_default_queue(dead);
                 }
             }
+        }
+        // Revoke-during-reconstruction: a pending respawn for this
+        // CPU is cancelled. If that was the last pending CPU and
+        // stashed threads remain, reclaim them through the
+        // surviving agents right away — a lease reclaim must never
+        // leave recovery wedged waiting on a CPU that left.
+        let mut reclaim = false;
+        if let Some(r) = enclave.recovery.as_mut() {
+            r.pending_cpus.retain(|&c| c != cpu);
+            if r.pending_cpus.is_empty() {
+                reclaim = !r.stashed.is_empty();
+                if !reclaim {
+                    enclave.recovery = None;
+                }
+            }
+        }
+        if reclaim {
+            self.reclaim_stashed(k, eid);
         }
         if let Some(t) = kill_agent {
             // Registry removal BEFORE the kill: `hook_agent_killed`
@@ -967,60 +963,23 @@ impl Core {
     /// wiring. A centralized enclave schedules any owned CPU from its
     /// global agent, so no new agent is needed there.
     fn lease_attach_cpu(&mut self, k: &mut dyn GhostBackend, eid: EnclaveId, cpu: CpuId) {
-        let spawn = {
-            let Some(enclave) = self.enclaves[eid.0 as usize].as_mut() else {
-                return;
-            };
-            if enclave.destroyed {
-                return;
-            }
-            enclave.cpus.add(cpu);
-            self.cpu_enclave[cpu.index()] = Some(eid);
-            match enclave.config.mode {
-                AgentMode::Centralized => None,
-                mode => (!enclave.agents.contains(cpu)).then_some(mode),
-            }
-        };
-        let Some(mode) = spawn else {
-            return;
-        };
-        let tid = k.spawn_agent(&format!("ghost-lease-e{}-c{}", eid.0, cpu.0), cpu);
-        self.agent_enclave.insert(tid, (eid, cpu));
-        let key = core_key_of(k, cpu);
-        let siblings: Vec<CpuId> = k.topo().core_cpus(cpu).iter().collect();
         let Some(enclave) = self.enclaves[eid.0 as usize].as_mut() else {
             return;
         };
-        let status = StatusWord::new();
-        status.set_flags(SW_ATTACHED);
-        enclave.agents.insert(cpu, AgentSlot { tid, cpu, status });
-        match mode {
-            AgentMode::PerCpu => {
-                let qid = QueueId(enclave.queues.len() as u32);
-                enclave.queues.push(Some(QueueState {
-                    queue: MessageQueue::new(enclave.config.queue_capacity),
-                    wake: WakeMode::WakeAgent(tid),
-                }));
-                enclave.cpu_queues.insert(cpu, qid);
-            }
-            AgentMode::PerCore => {
-                // Join the SMT sibling's core queue when one exists;
-                // otherwise the core gets a fresh queue.
-                let sibling_q = siblings
-                    .iter()
-                    .find_map(|&c| enclave.cpu_queues.get(c).copied());
-                let qid = sibling_q.unwrap_or_else(|| {
-                    let qid = QueueId(enclave.queues.len() as u32);
-                    enclave.queues.push(Some(QueueState {
-                        queue: MessageQueue::new(enclave.config.queue_capacity),
-                        wake: WakeMode::WakeEventCpuAgent,
-                    }));
-                    qid
-                });
-                enclave.cpu_queues.insert(cpu, qid);
-                enclave.core_active.or_insert(key, tid);
-            }
-            AgentMode::Centralized => {}
+        if enclave.destroyed {
+            return;
+        }
+        enclave.cpus.add(cpu);
+        self.cpu_enclave[cpu.index()] = Some(eid);
+        let mode = enclave.config.mode;
+        if mode == AgentMode::Centralized || enclave.agents.contains(cpu) {
+            return;
+        }
+        let tid = self.install_agent(k, eid, cpu, "lease");
+        let enclave = self.enclave_mut(eid).expect("checked above");
+        enclave.wire_cpu_queue(k.topo().core_cpus(cpu), cpu, tid);
+        if mode == AgentMode::PerCore {
+            enclave.core_active.or_insert(core_key_of(k, cpu), tid);
         }
         k.wake(tid);
     }
@@ -1039,17 +998,15 @@ pub struct GhostRuntime {
     shared: Arc<Mutex<Core>>,
 }
 
-/// The userspace control handle (same object as the runtime).
-pub type GhostHandle = GhostRuntime;
-
 /// A typed handle to one live enclave: the runtime plus the enclave's id.
 ///
 /// [`GhostRuntime::launch_enclave`] returns one after installing the
 /// class (if needed), creating the enclave, and spawning its agents — so
 /// holding an `EnclaveHandle` means the enclave is fully wired and a
-/// scenario cannot forget a setup step. All per-enclave follow-up calls
-/// (attach, upgrade, standby, crash injection, teardown) live here
-/// instead of taking a bare [`EnclaveId`].
+/// scenario cannot forget a setup step. Every per-enclave operation
+/// (attach, upgrade, standby, crash-injection lookups, lending,
+/// teardown) lives here; a handle to a destroyed enclave gets typed
+/// [`AbiError`] rejections, never a panic.
 #[derive(Clone)]
 pub struct EnclaveHandle {
     runtime: GhostRuntime,
@@ -1057,6 +1014,10 @@ pub struct EnclaveHandle {
 }
 
 impl EnclaveHandle {
+    fn core(&self) -> MutexGuard<'_, Core> {
+        self.runtime.shared.lock().unwrap()
+    }
+
     /// The raw enclave id (for trace matching and low-level calls).
     pub fn id(&self) -> EnclaveId {
         self.id
@@ -1067,96 +1028,209 @@ impl EnclaveHandle {
         &self.runtime
     }
 
-    /// Attaches a native thread to this enclave (moves it into the ghOSt
-    /// scheduling class, generating `THREAD_CREATED`/`THREAD_WAKEUP`).
+    /// Attaches a native thread to this enclave (`START_GHOST()`): moves
+    /// it into the ghOSt scheduling class, generating `THREAD_CREATED`
+    /// (and `THREAD_WAKEUP` if it is runnable). Invalid requests are
+    /// rejected (and counted); use [`EnclaveHandle::try_attach_thread`]
+    /// to see the cause.
     pub fn attach_thread(&self, k: &mut dyn GhostBackend, tid: Tid) {
-        self.runtime.attach_thread(k, self.id, tid);
+        let _ = self.try_attach_thread(k, tid);
     }
 
-    /// Stages a new policy version for an in-place upgrade (§3.4).
+    /// Validated attach: rejects dead/nonexistent tids, agent pthreads,
+    /// threads already in an enclave, and dead or unknown enclaves with a
+    /// typed [`AbiError`] instead of corrupting the registry.
+    pub fn try_attach_thread(&self, k: &mut dyn GhostBackend, tid: Tid) -> Result<(), AbiError> {
+        let mut core = self.core();
+        let enclave_ok = core.check_enclave(self.id);
+        let err = if let Err(e) = enclave_ok {
+            Some(e)
+        } else if !k.valid_tid(tid) {
+            Some(AbiError::NoSuchThread)
+        } else if k.thread(tid).state == ThreadState::Dead {
+            Some(AbiError::DeadThread)
+        } else if k.thread(tid).kind == ghost_sim::thread::ThreadKind::Agent {
+            Some(AbiError::AgentThread)
+        } else if core.thread_enclave.contains(tid) || core.pending_attach.contains(tid) {
+            Some(AbiError::AlreadyAttached)
+        } else {
+            None
+        };
+        if let Some(err) = err {
+            // Strikes only land on an enclave that exists — a forged eid
+            // has nothing to quarantine.
+            let strike_eid = enclave_ok.is_ok().then_some(self.id);
+            return Err(core.reject(k, strike_eid, CpuId(0), err));
+        }
+        core.pending_attach.insert(tid, self.id);
+        drop(core);
+        k.move_to_class(tid, CLASS_GHOST);
+        Ok(())
+    }
+
+    /// Stages a new policy version for an in-place upgrade (§3.4): "the
+    /// new agent blocks until the old agent crashes or exits", then takes
+    /// over. Staging onto a dead enclave drops the policy (counted); use
+    /// [`EnclaveHandle::try_stage_upgrade`] to see the rejection.
     pub fn stage_upgrade(&self, policy: Box<dyn GhostPolicy>) {
-        self.runtime.stage_upgrade(self.id, policy);
+        let _ = self.try_stage_upgrade(policy);
     }
 
-    /// Promotes the staged policy right now (§3.4); false if none staged.
-    pub fn upgrade_now(&self, k: &mut dyn GhostBackend) -> bool {
-        self.runtime.upgrade_now(k, self.id)
+    /// Validated staging: rejects dead or unknown enclaves with a typed
+    /// [`AbiError`] (the policy object is dropped).
+    pub fn try_stage_upgrade(&self, policy: Box<dyn GhostPolicy>) -> Result<(), AbiError> {
+        let mut core = self.core();
+        if let Err(e) = core.check_enclave(self.id) {
+            return Err(core.note_reject(e));
+        }
+        core.staged[self.id.0 as usize] = Some(policy);
+        Ok(())
     }
 
-    /// Registers a policy factory for standby respawns (§3.4 degraded-mode
-    /// failover).
+    /// Performs an in-place upgrade right now (§3.4): the staged policy
+    /// takes over and rebuilds its view by scanning the status words of
+    /// the enclave's threads at its next activation — no synthetic
+    /// message replay. Rejects dead or unknown enclaves and upgrades with
+    /// nothing staged with a typed [`AbiError`].
+    pub fn try_upgrade_now(&self, k: &mut dyn GhostBackend) -> Result<(), AbiError> {
+        let eid = self.id;
+        let mut core = self.core();
+        if let Err(e) = core.check_enclave(eid) {
+            return Err(core.reject(k, None, CpuId(0), e));
+        }
+        let Some(staged) = core.staged[eid.0 as usize].take() else {
+            return Err(core.reject(k, Some(eid), CpuId(0), AbiError::NothingStaged));
+        };
+        core.policies[eid.0 as usize] = Some(staged);
+        core.stats.upgrades += 1;
+        // The watchdog excuses pre-upgrade starvation (without this a
+        // hung-then-upgraded agent is double-reaped), and the `Aseq`
+        // barrier keeps commits prepared against the old policy's view
+        // from landing under the new one.
+        if let Some(enclave) = core.enclave_mut(eid) {
+            enclave.raise_reconstruct_barrier(k.now());
+        }
+        core.notify_agents(k, eid);
+        Ok(())
+    }
+
+    /// Registers a policy factory for standby respawns in this enclave's
+    /// degraded-mode failover (§3.4): each respawned agent starts from a
+    /// fresh policy instance and rebuilds purely from the status-word
+    /// scan. Without a factory the surviving in-memory policy object is
+    /// re-seeded in place (the reconstruction still runs). A dead enclave
+    /// drops the factory (counted).
     pub fn set_standby_policy(&self, factory: impl Fn() -> Box<dyn GhostPolicy> + Send + 'static) {
-        self.runtime.set_standby_policy(self.id, factory);
+        let mut core = self.core();
+        match core.check_enclave(self.id) {
+            Ok(()) => core.standby_factories[self.id.0 as usize] = Some(Box::new(factory)),
+            Err(e) => {
+                core.note_reject(e);
+            }
+        }
     }
 
     /// Destroys the enclave: threads fall back to CFS, agents die.
-    pub fn destroy(&self, k: &mut dyn GhostBackend) {
-        self.runtime.destroy_enclave(k, self.id);
+    /// Destroying twice is a counted, typed rejection.
+    pub fn try_destroy(&self, k: &mut dyn GhostBackend) -> Result<(), AbiError> {
+        let mut core = self.core();
+        if let Err(e) = core.check_enclave(self.id) {
+            return Err(core.reject(k, None, CpuId(0), e));
+        }
+        core.destroy_enclave(k, self.id);
+        Ok(())
     }
 
-    /// Agent pthreads of the enclave (for crash injection in tests).
+    /// Agent pthreads of the enclave, in agent-CPU order (for crash
+    /// injection in tests — a deterministic order keeps "kill the first
+    /// satellite" reproducible).
     pub fn agent_tids(&self) -> Vec<Tid> {
-        self.runtime.agent_tids(self.id)
+        let core = self.core();
+        let Some(e) = core.enclave(self.id) else {
+            return Vec::new();
+        };
+        let mut slots: Vec<(CpuId, Tid)> = e.agents.values().map(|a| (a.cpu, a.tid)).collect();
+        slots.sort_by_key(|&(c, _)| c.0);
+        slots.into_iter().map(|(_, t)| t).collect()
     }
 
-    /// The agent pthread pinned to `cpu`, if the enclave owns that CPU.
+    /// The agent pthread pinned to `cpu`, if the enclave owns that CPU
+    /// (for targeted crash injection in tests and the chaos harness).
     pub fn agent_on(&self, cpu: CpuId) -> Option<Tid> {
-        self.runtime.agent_on(self.id, cpu)
+        self.core().enclave(self.id)?.agents.get(cpu).map(|a| a.tid)
     }
 
     /// The current global agent of a centralized enclave.
     pub fn global_agent(&self) -> Option<Tid> {
-        self.runtime.global_agent(self.id)
+        self.core().enclave(self.id)?.global_agent
+    }
+
+    /// Slab handle backing `tid`'s entry in the enclave's thread table
+    /// (`None` if the thread is not managed here). Handles are recycled
+    /// after a thread dies; this accessor lets tests observe free-list
+    /// reuse and prove a recycled handle is never reachable through the
+    /// dead tid.
+    pub fn thread_handle(&self, tid: Tid) -> Option<u32> {
+        self.core().enclave(self.id)?.threads.handle_of(tid)
     }
 
     /// True while the enclave exists and has not been destroyed.
     pub fn alive(&self) -> bool {
-        self.runtime.enclave_alive(self.id)
+        self.core().enclave(self.id).is_some_and(|e| !e.destroyed)
+    }
+
+    /// True while the enclave is in §3.4 degraded mode: its agent died,
+    /// threads were shed to CFS, and recovery (standby respawn + thread
+    /// reclaim) has not yet completed. Embedding services poll this to
+    /// drive graceful degradation (load shedding, timeouts) while the
+    /// scheduler is down.
+    pub fn degraded(&self) -> bool {
+        self.core()
+            .enclave(self.id)
+            .is_some_and(|e| e.recovery.is_some())
     }
 
     /// Runs `f` against the enclave's policy (to extract policy-internal
     /// results after a run).
     pub fn with_policy<R>(&self, f: impl FnOnce(&mut dyn GhostPolicy) -> R) -> Option<R> {
-        self.runtime.with_policy(self.id, f)
+        let mut core = self.core();
+        let policy = core.policies.get_mut(self.id.0 as usize)?.as_mut()?;
+        Some(f(policy.as_mut()))
     }
 
-    /// Validated attach: see [`GhostRuntime::try_attach_thread`].
-    pub fn try_attach_thread(&self, k: &mut dyn GhostBackend, tid: Tid) -> Result<(), AbiError> {
-        self.runtime.try_attach_thread(k, self.id, tid)
-    }
-
-    /// Validated staging: see [`GhostRuntime::try_stage_upgrade`].
-    pub fn try_stage_upgrade(&self, policy: Box<dyn GhostPolicy>) -> Result<(), AbiError> {
-        self.runtime.try_stage_upgrade(self.id, policy)
-    }
-
-    /// Validated in-place upgrade: see [`GhostRuntime::try_upgrade_now`].
-    pub fn try_upgrade_now(&self, k: &mut dyn GhostBackend) -> Result<(), AbiError> {
-        self.runtime.try_upgrade_now(k, self.id)
-    }
-
-    /// Validated destruction: see [`GhostRuntime::try_destroy_enclave`].
-    pub fn try_destroy(&self, k: &mut dyn GhostBackend) -> Result<(), AbiError> {
-        self.runtime.try_destroy_enclave(k, self.id)
-    }
-
-    /// Validated status-word read: see [`GhostRuntime::try_thread_status`].
+    /// Reads a managed thread's status word (seq, flags) through the
+    /// validated boundary: dead enclaves and foreign tids yield a typed
+    /// [`AbiError`], never a panic.
     pub fn try_thread_status(&self, tid: Tid) -> Result<(u64, u64), AbiError> {
-        self.runtime.try_thread_status(self.id, tid)
+        let mut core = self.core();
+        if let Err(e) = core.check_enclave(self.id) {
+            return Err(core.note_reject(e));
+        }
+        let found = core
+            .enclave(self.id)
+            .and_then(|e| e.threads.get(tid))
+            .map(|info| (info.status.seq(), info.status.flags()));
+        found.ok_or_else(|| core.note_reject(AbiError::ForeignThread))
     }
 
-    /// Garbage status-word write (always rejected): see
-    /// [`GhostRuntime::try_write_status`].
+    /// Models an agent scribbling into kernel-owned status-word memory.
+    /// Status words are kernel-published and read-only to agents, so this
+    /// always rejects with [`AbiError::StatusReadOnly`] — and, because no
+    /// benign agent issues kernel-memory writes, always counts a
+    /// byzantine strike against the enclave.
     pub fn try_write_status(
         &self,
         k: &mut dyn GhostBackend,
-        tid: Tid,
-        garbage: u64,
+        _tid: Tid,
+        _garbage: u64,
     ) -> Result<(), AbiError> {
-        self.runtime.try_write_status(k, self.id, tid, garbage)
+        let mut core = self.core();
+        let strike_eid = core.check_enclave(self.id).is_ok().then_some(self.id);
+        Err(core.reject(k, strike_eid, CpuId(0), AbiError::StatusReadOnly))
     }
 
-    /// Lends CPUs from this enclave to `borrower` for `duration` ns.
+    /// Lends CPUs from this enclave to `borrower` for `duration` ns (see
+    /// [`GhostRuntime::try_lend_cpu`]); stops at the first rejection.
     pub fn lend_to(
         &self,
         k: &mut dyn GhostBackend,
@@ -1164,18 +1238,25 @@ impl EnclaveHandle {
         cpus: &[CpuId],
         duration: Nanos,
     ) -> Result<(), AbiError> {
-        self.runtime
-            .lend_cpus(k, self.id, borrower.id, cpus, duration)
+        for &cpu in cpus {
+            self.runtime
+                .try_lend_cpu(k, self.id, borrower.id, cpu, duration)?;
+        }
+        Ok(())
     }
 
     /// CPUs this enclave is currently borrowing, sorted.
     pub fn borrowed_cpus(&self) -> Vec<CpuId> {
-        self.runtime.borrowed_by(self.id)
+        self.core().leases.borrowed_by(self.id)
     }
 
-    /// This enclave's current CPU partition, sorted.
+    /// This enclave's current CPU partition (including borrowed CPUs,
+    /// excluding lent-out ones), sorted.
     pub fn cpus(&self) -> Vec<CpuId> {
-        self.runtime.enclave_cpus(self.id)
+        self.core()
+            .enclave(self.id)
+            .map(|e| e.cpus.iter().collect())
+            .unwrap_or_default()
     }
 }
 
@@ -1221,12 +1302,17 @@ impl GhostRuntime {
         self.shared.lock().unwrap().installed = true;
     }
 
-    /// The canonical enclave setup path: installs the class and driver if
-    /// no one did yet, creates the enclave, spawns its pinned agents, and
-    /// returns a typed [`EnclaveHandle`] — so a scenario cannot forget to
-    /// install or spawn. The id-based [`GhostRuntime::create_enclave`] /
-    /// [`GhostRuntime::spawn_agents`] pair stays available for tests that
-    /// need to observe the half-constructed states in between.
+    /// The enclave setup path on the DES: installs the class and driver
+    /// if no one did yet, creates the enclave, spawns its agents through
+    /// [`GhostRuntime::spawn_agents`], settles the kernel, and returns a
+    /// typed [`EnclaveHandle`] — so a scenario cannot forget to install
+    /// or spawn. `ghost-live`'s `LiveKernel::launch_enclave` is the same
+    /// sequence over real threads.
+    ///
+    /// # Panics
+    ///
+    /// Panics if [`GhostRuntime::try_create_enclave`] rejects `cpus`
+    /// (empty, out of range, or owned by another enclave).
     pub fn launch_enclave(
         &self,
         kernel: &mut Kernel,
@@ -1237,12 +1323,12 @@ impl GhostRuntime {
         if !self.shared.lock().unwrap().installed {
             self.install(kernel);
         }
-        let id = self.create_enclave(cpus, config, policy);
-        self.spawn_agents(kernel, id);
-        EnclaveHandle {
-            runtime: self.clone(),
-            id,
-        }
+        let id = self
+            .try_create_enclave(cpus, config, policy)
+            .unwrap_or_else(|err| panic!("launch_enclave: {err}"));
+        self.spawn_agents(&mut kernel.state, id);
+        kernel.settle();
+        self.handle(id)
     }
 
     /// Wraps an already-created enclave id in a typed handle.
@@ -1253,33 +1339,10 @@ impl GhostRuntime {
         }
     }
 
-    /// Creates an enclave over `cpus` with the given policy (low level:
-    /// agents are not spawned yet — prefer
-    /// [`GhostRuntime::launch_enclave`]).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `cpus` is empty or overlaps an existing enclave. This is
-    /// the trusted setup-code path; the validated, typed-error variant is
-    /// [`GhostRuntime::try_create_enclave`].
-    pub fn create_enclave(
-        &self,
-        cpus: CpuSet,
-        config: EnclaveConfig,
-        policy: Box<dyn GhostPolicy>,
-    ) -> EnclaveId {
-        match self.try_create_enclave(cpus, config, policy) {
-            Ok(id) => id,
-            Err(AbiError::EmptyCpuSet) => panic!("enclave must own at least one CPU"),
-            Err(err) => panic!(
-                "create_enclave: a CPU already belongs to an enclave or is out of range ({err})"
-            ),
-        }
-    }
-
-    /// Validated enclave creation: rejects an empty CPU set, CPU ids the
-    /// machine does not have, and CPUs already owned by another enclave
-    /// with a typed [`AbiError`] instead of panicking.
+    /// Validated enclave creation (agents are not spawned yet — prefer
+    /// [`GhostRuntime::launch_enclave`]): rejects an empty CPU set, CPU
+    /// ids the machine does not have, and CPUs already owned by another
+    /// enclave with a typed [`AbiError`].
     pub fn try_create_enclave(
         &self,
         cpus: CpuSet,
@@ -1302,17 +1365,13 @@ impl GhostRuntime {
         for c in cpus.iter() {
             core.cpu_enclave[c.index()] = Some(id);
         }
-        let default_q = QueueState {
-            queue: MessageQueue::new(config.queue_capacity),
-            wake: WakeMode::Polled,
-        };
         // One PNT ring per NUMA node is the paper's §5 layout; sized from
         // the config if enabled.
         let pnt = config.pnt_ring_capacity.map(|cap| PntRings::new(2, cap));
-        let enclave = Enclave {
+        let mut enclave = Enclave {
             id,
             cpus,
-            queues: vec![Some(default_q)],
+            queues: Vec::new(),
             default_queue: QueueId(0),
             cpu_queues: CpuMap::new(),
             threads: TidSlab::new(),
@@ -1334,6 +1393,7 @@ impl GhostRuntime {
             pending_revokes: Vec::new(),
             config,
         };
+        enclave.add_queue(WakeMode::Polled);
         core.enclaves.push(Some(enclave));
         core.policies.push(Some(policy));
         core.staged.push(None);
@@ -1341,443 +1401,64 @@ impl GhostRuntime {
         Ok(id)
     }
 
-    /// Spawns one pinned agent pthread per enclave CPU, configures queues
-    /// for the enclave's [`AgentMode`], starts the global agent (if
-    /// centralized), and arms the watchdog.
-    pub fn spawn_agents(&self, kernel: &mut Kernel, eid: EnclaveId) {
-        let cpus: Vec<CpuId> = {
-            let core = self.shared.lock().unwrap();
-            core.enclaves[eid.0 as usize]
-                .as_ref()
-                .expect("enclave exists")
-                .cpus
-                .iter()
-                .collect()
-        };
-        // Spawn agent threads (outside the borrow: spawn touches classes).
-        let mut slots: Vec<(CpuId, Tid)> = Vec::new();
+    /// `AGENT_INIT()`: spawns one pinned agent per enclave CPU and wires
+    /// its queue for the enclave's [`AgentMode`], points the default
+    /// queue at its consumer, arms the watchdog, and wakes the global
+    /// agent (centralized). Backend-generic: the DES and the live backend
+    /// launch every enclave through this one path. The caller settles the
+    /// backend afterwards (deferred spawns and wakes).
+    pub fn spawn_agents(&self, k: &mut dyn GhostBackend, eid: EnclaveId) {
+        let mut core = self.shared.lock().unwrap();
+        let cpus: Vec<CpuId> = core
+            .enclave(eid)
+            .expect("enclave exists")
+            .cpus
+            .iter()
+            .collect();
         for &cpu in &cpus {
-            let tid = kernel.spawn(
-                ThreadSpec::workload(
-                    &format!("ghost-agent-e{}-c{}", eid.0, cpu.0),
-                    &kernel.state.topo,
-                )
-                .affinity(CpuSet::from_iter([cpu]))
-                .agent(),
-            );
-            slots.push((cpu, tid));
-        }
-        let mut to_wake = Vec::new();
-        {
-            let mut core = self.shared.lock().unwrap();
-            for &(cpu, tid) in &slots {
-                core.agent_enclave.insert(tid, (eid, cpu));
-            }
+            let tid = core.install_agent(k, eid, cpu, "agent");
             let enclave = core.enclave_mut(eid).expect("enclave exists");
-            for (cpu, tid) in slots {
-                let status = StatusWord::new();
-                status.set_flags(SW_ATTACHED);
-                enclave.agents.insert(cpu, AgentSlot { tid, cpu, status });
-            }
-            match enclave.config.mode {
-                AgentMode::Centralized => {
-                    let global = enclave.agents.get(cpus[0]).expect("agent spawned").tid;
-                    enclave.global_agent = Some(global);
-                    to_wake.push(global);
-                }
-                AgentMode::PerCpu => {
-                    for &cpu in &cpus {
-                        let agent = enclave.agents.get(cpu).expect("agent spawned").tid;
-                        let qid = QueueId(enclave.queues.len() as u32);
-                        enclave.queues.push(Some(QueueState {
-                            queue: MessageQueue::new(enclave.config.queue_capacity),
-                            wake: WakeMode::WakeAgent(agent),
-                        }));
-                        enclave.cpu_queues.insert(cpu, qid);
-                    }
-                    // The default queue wakes the first agent, which
-                    // redistributes new threads via ASSOCIATE_QUEUE.
-                    let first_agent = enclave.agents.get(cpus[0]).expect("agent spawned").tid;
-                    if let Some(Some(qs)) = enclave.queues.get_mut(0) {
-                        qs.wake = WakeMode::WakeAgent(first_agent);
-                    }
-                }
-                AgentMode::PerCore => {
-                    let mut per_core: HashMap<CpuId, QueueId> = HashMap::new();
-                    for &cpu in &cpus {
-                        let key = core_key_of(&kernel.state, cpu);
-                        let qid = *per_core.entry(key).or_insert_with(|| {
-                            let qid = QueueId(enclave.queues.len() as u32);
-                            enclave.queues.push(Some(QueueState {
-                                queue: MessageQueue::new(enclave.config.queue_capacity),
-                                wake: WakeMode::WakeEventCpuAgent,
-                            }));
-                            qid
-                        });
-                        enclave.cpu_queues.insert(cpu, qid);
-                    }
-                    // New threads are associated with the default queue;
-                    // in per-core mode the agent of the event's CPU is
-                    // woken for those messages too, and every activation
-                    // drains the default queue alongside its core queue.
-                    if let Some(Some(qs)) = enclave.queues.get_mut(0) {
-                        qs.wake = WakeMode::WakeEventCpuAgent;
-                    }
-                }
-            }
-            if let Some(timeout) = enclave.config.watchdog_timeout {
-                let at = kernel.state.now + timeout / 2;
-                kernel.state.arm_driver_timer(at, eid.0 as u64);
-            }
+            enclave.wire_cpu_queue(k.topo().core_cpus(cpu), cpu, tid);
         }
-        for tid in to_wake {
-            kernel.wake_now(tid);
-        }
-    }
-
-    /// Backend-generic agent spawn: the same wiring as
-    /// [`GhostRuntime::spawn_agents`] — one pinned agent per enclave CPU,
-    /// queue configuration per [`AgentMode`], global-agent wake, watchdog
-    /// arm — expressed against [`GhostBackend`] so the live backend can
-    /// launch enclaves over real OS threads. The DES keeps its own
-    /// `spawn_agents` (above) untouched: its event interleaving is pinned
-    /// by the digest-freeze test, and this path must be free to evolve
-    /// with the live backend without risking that freeze.
-    ///
-    /// The caller settles the backend afterwards (deferred wakes/spawns).
-    pub fn spawn_agents_backend(&self, k: &mut dyn GhostBackend, eid: EnclaveId) -> Vec<Tid> {
-        let cpus: Vec<CpuId> = {
-            let core = self.shared.lock().unwrap();
-            core.enclaves[eid.0 as usize]
-                .as_ref()
-                .expect("enclave exists")
-                .cpus
-                .iter()
-                .collect()
+        let enclave = core.enclave_mut(eid).expect("enclave exists");
+        let first = enclave.agents.get(cpus[0]).expect("agent spawned").tid;
+        let default_wake = match enclave.config.mode {
+            AgentMode::Centralized => {
+                enclave.global_agent = Some(first);
+                WakeMode::Polled
+            }
+            // The first agent redistributes new threads via
+            // ASSOCIATE_QUEUE.
+            AgentMode::PerCpu => WakeMode::WakeAgent(first),
+            // New threads are associated with the default queue; the
+            // agent of the event's CPU is woken for those messages too,
+            // and every activation drains the default queue alongside
+            // its core queue.
+            AgentMode::PerCore => WakeMode::WakeEventCpuAgent,
         };
-        let mut slots: Vec<(CpuId, Tid)> = Vec::new();
-        for &cpu in &cpus {
-            let tid = k.spawn_agent(&format!("ghost-agent-e{}-c{}", eid.0, cpu.0), cpu);
-            slots.push((cpu, tid));
+        if let Some(Some(qs)) = enclave.queues.get_mut(enclave.default_queue.0 as usize) {
+            qs.wake = default_wake;
         }
-        let tids: Vec<Tid> = slots.iter().map(|&(_, t)| t).collect();
-        let mut to_wake = Vec::new();
-        {
-            let mut core = self.shared.lock().unwrap();
-            for &(cpu, tid) in &slots {
-                core.agent_enclave.insert(tid, (eid, cpu));
-            }
-            let enclave = core.enclave_mut(eid).expect("enclave exists");
-            for (cpu, tid) in slots {
-                let status = StatusWord::new();
-                status.set_flags(SW_ATTACHED);
-                enclave.agents.insert(cpu, AgentSlot { tid, cpu, status });
-            }
-            match enclave.config.mode {
-                AgentMode::Centralized => {
-                    let global = enclave.agents.get(cpus[0]).expect("agent spawned").tid;
-                    enclave.global_agent = Some(global);
-                    to_wake.push(global);
-                }
-                AgentMode::PerCpu => {
-                    for &cpu in &cpus {
-                        let agent = enclave.agents.get(cpu).expect("agent spawned").tid;
-                        let qid = QueueId(enclave.queues.len() as u32);
-                        enclave.queues.push(Some(QueueState {
-                            queue: MessageQueue::new(enclave.config.queue_capacity),
-                            wake: WakeMode::WakeAgent(agent),
-                        }));
-                        enclave.cpu_queues.insert(cpu, qid);
-                    }
-                    let first_agent = enclave.agents.get(cpus[0]).expect("agent spawned").tid;
-                    if let Some(Some(qs)) = enclave.queues.get_mut(0) {
-                        qs.wake = WakeMode::WakeAgent(first_agent);
-                    }
-                }
-                AgentMode::PerCore => {
-                    let mut per_core: HashMap<CpuId, QueueId> = HashMap::new();
-                    for &cpu in &cpus {
-                        let key = core_key_of(k, cpu);
-                        let qid = *per_core.entry(key).or_insert_with(|| {
-                            let qid = QueueId(enclave.queues.len() as u32);
-                            enclave.queues.push(Some(QueueState {
-                                queue: MessageQueue::new(enclave.config.queue_capacity),
-                                wake: WakeMode::WakeEventCpuAgent,
-                            }));
-                            qid
-                        });
-                        enclave.cpu_queues.insert(cpu, qid);
-                    }
-                    if let Some(Some(qs)) = enclave.queues.get_mut(0) {
-                        qs.wake = WakeMode::WakeEventCpuAgent;
-                    }
-                }
-            }
-            if let Some(timeout) = enclave.config.watchdog_timeout {
-                let at = k.now() + timeout / 2;
-                k.arm_driver_timer(at, eid.0 as u64);
-            }
+        if let Some(timeout) = enclave.config.watchdog_timeout {
+            k.arm_driver_timer(k.now() + timeout / 2, eid.0 as u64);
         }
-        for tid in to_wake {
-            k.wake(tid);
+        if let Some(global) = enclave.global_agent {
+            k.wake(global);
         }
-        tids
-    }
-
-    /// Attaches a native thread to an enclave: moves it into the ghOSt
-    /// scheduling class, generating `THREAD_CREATED` (and `THREAD_WAKEUP`
-    /// if it is runnable). Invalid requests are rejected (and counted);
-    /// use [`GhostRuntime::try_attach_thread`] to see the cause.
-    pub fn attach_thread(&self, k: &mut dyn GhostBackend, eid: EnclaveId, tid: Tid) {
-        let _ = self.try_attach_thread(k, eid, tid);
-    }
-
-    /// Validated attach: rejects dead/nonexistent tids, agent pthreads,
-    /// threads already in an enclave, and dead or unknown enclaves with a
-    /// typed [`AbiError`] instead of corrupting the registry.
-    pub fn try_attach_thread(
-        &self,
-        k: &mut dyn GhostBackend,
-        eid: EnclaveId,
-        tid: Tid,
-    ) -> Result<(), AbiError> {
-        let mut core = self.shared.lock().unwrap();
-        let enclave_ok = core.check_enclave(eid);
-        let err = if let Err(e) = enclave_ok {
-            Some(e)
-        } else if !k.valid_tid(tid) {
-            Some(AbiError::NoSuchThread)
-        } else if k.thread(tid).state == ThreadState::Dead {
-            Some(AbiError::DeadThread)
-        } else if k.thread(tid).kind == ghost_sim::thread::ThreadKind::Agent {
-            Some(AbiError::AgentThread)
-        } else if core.thread_enclave.contains(tid) || core.pending_attach.contains(tid) {
-            Some(AbiError::AlreadyAttached)
-        } else {
-            None
-        };
-        if let Some(err) = err {
-            // Strikes only land on an enclave that exists — a forged eid
-            // has nothing to quarantine.
-            let strike_eid = enclave_ok.is_ok().then_some(eid);
-            return Err(core.reject(k, strike_eid, CpuId(0), err));
-        }
-        core.pending_attach.insert(tid, eid);
-        drop(core);
-        k.move_to_class(tid, CLASS_GHOST);
-        Ok(())
-    }
-
-    /// Stages a new policy version for an in-place upgrade (§3.4): "the
-    /// new agent blocks until the old agent crashes or exits", then takes
-    /// over. Staging onto a dead or unknown enclave drops the policy.
-    pub fn stage_upgrade(&self, eid: EnclaveId, policy: Box<dyn GhostPolicy>) {
-        let _ = self.try_stage_upgrade(eid, policy);
-    }
-
-    /// Validated staging: rejects dead or unknown enclaves with a typed
-    /// [`AbiError`] (the policy object is dropped).
-    pub fn try_stage_upgrade(
-        &self,
-        eid: EnclaveId,
-        policy: Box<dyn GhostPolicy>,
-    ) -> Result<(), AbiError> {
-        let mut core = self.shared.lock().unwrap();
-        if let Err(e) = core.check_enclave(eid) {
-            return Err(core.note_reject(e));
-        }
-        core.staged[eid.0 as usize] = Some(policy);
-        Ok(())
-    }
-
-    /// Performs an in-place upgrade right now (§3.4): the staged policy
-    /// takes over and rebuilds its view by scanning the status words of
-    /// the enclave's threads at its next activation — no synthetic
-    /// message replay. An `Aseq` barrier is raised on every agent so
-    /// commits prepared against the old policy's view fail `ESTALE`.
-    /// Returns false if no policy was staged.
-    pub fn upgrade_now(&self, k: &mut dyn GhostBackend, eid: EnclaveId) -> bool {
-        self.try_upgrade_now(k, eid).is_ok()
-    }
-
-    /// Validated in-place upgrade: rejects dead or unknown enclaves and
-    /// upgrades with nothing staged with a typed [`AbiError`].
-    pub fn try_upgrade_now(
-        &self,
-        k: &mut dyn GhostBackend,
-        eid: EnclaveId,
-    ) -> Result<(), AbiError> {
-        let mut core = self.shared.lock().unwrap();
-        if let Err(e) = core.check_enclave(eid) {
-            return Err(core.reject(k, None, CpuId(0), e));
-        }
-        let Some(staged) = core.staged[eid.0 as usize].take() else {
-            return Err(core.reject(k, Some(eid), CpuId(0), AbiError::NothingStaged));
-        };
-        core.policies[eid.0 as usize] = Some(staged);
-        core.stats.upgrades += 1;
-        let Some(enclave) = core.enclave_mut(eid) else {
-            return Ok(());
-        };
-        // The watchdog excuses pre-upgrade starvation: the new policy gets
-        // a full timeout from here before it can be blamed (§3.4 — without
-        // this a hung-then-upgraded agent is double-reaped).
-        enclave.upgraded_at = Some(k.now());
-        enclave.needs_reconstruct = true;
-        // Aseq barrier: in-flight commits that captured a pre-upgrade
-        // agent sequence number must not land under the new policy.
-        for slot in enclave.agents.values() {
-            slot.status.bump_seq();
-        }
-        core.notify_agents(k, eid);
-        Ok(())
-    }
-
-    /// Registers a policy factory for standby respawns in `eid`'s
-    /// degraded-mode failover: each respawned agent starts from a fresh
-    /// policy instance and rebuilds purely from the status-word scan.
-    /// Without a factory the surviving in-memory policy object is
-    /// re-seeded in place (the reconstruction still runs).
-    pub fn set_standby_policy(
-        &self,
-        eid: EnclaveId,
-        factory: impl Fn() -> Box<dyn GhostPolicy> + Send + 'static,
-    ) {
-        let _ = self.try_set_standby_policy(eid, factory);
-    }
-
-    /// Validated standby registration: rejects dead or unknown enclaves
-    /// with a typed [`AbiError`] (the factory is dropped).
-    pub fn try_set_standby_policy(
-        &self,
-        eid: EnclaveId,
-        factory: impl Fn() -> Box<dyn GhostPolicy> + Send + 'static,
-    ) -> Result<(), AbiError> {
-        let mut core = self.shared.lock().unwrap();
-        if let Err(e) = core.check_enclave(eid) {
-            return Err(core.note_reject(e));
-        }
-        core.standby_factories[eid.0 as usize] = Some(Box::new(factory));
-        Ok(())
-    }
-
-    /// Destroys an enclave: threads fall back to CFS, agents die.
-    /// Destroying twice (or a forged id) is a counted, typed rejection —
-    /// see [`GhostRuntime::try_destroy_enclave`].
-    pub fn destroy_enclave(&self, k: &mut dyn GhostBackend, eid: EnclaveId) {
-        let _ = self.try_destroy_enclave(k, eid);
-    }
-
-    /// Validated destruction: rejects double destroys and unknown ids
-    /// with a typed [`AbiError`].
-    pub fn try_destroy_enclave(
-        &self,
-        k: &mut dyn GhostBackend,
-        eid: EnclaveId,
-    ) -> Result<(), AbiError> {
-        let mut core = self.shared.lock().unwrap();
-        if let Err(e) = core.check_enclave(eid) {
-            return Err(core.reject(k, None, CpuId(0), e));
-        }
-        core.destroy_enclave(k, eid);
-        Ok(())
-    }
-
-    /// Agent pthreads of an enclave, in agent-CPU order (for crash
-    /// injection in tests — a deterministic order keeps "kill the first
-    /// satellite" reproducible).
-    pub fn agent_tids(&self, eid: EnclaveId) -> Vec<Tid> {
-        let core = self.shared.lock().unwrap();
-        core.enclaves
-            .get(eid.0 as usize)
-            .and_then(|s| s.as_ref())
-            .map(|e| {
-                let mut slots: Vec<(CpuId, Tid)> =
-                    e.agents.values().map(|a| (a.cpu, a.tid)).collect();
-                slots.sort_by_key(|&(c, _)| c.0);
-                slots.into_iter().map(|(_, t)| t).collect()
-            })
-            .unwrap_or_default()
-    }
-
-    /// The agent pthread attached to `cpu`, if the enclave owns that CPU
-    /// (for targeted crash injection in tests and the chaos harness).
-    pub fn agent_on(&self, eid: EnclaveId, cpu: CpuId) -> Option<Tid> {
-        let core = self.shared.lock().unwrap();
-        core.enclaves
-            .get(eid.0 as usize)
-            .and_then(|s| s.as_ref())
-            .and_then(|e| e.agents.get(cpu))
-            .map(|a| a.tid)
-    }
-
-    /// The current global agent of a centralized enclave.
-    pub fn global_agent(&self, eid: EnclaveId) -> Option<Tid> {
-        let core = self.shared.lock().unwrap();
-        core.enclaves
-            .get(eid.0 as usize)
-            .and_then(|s| s.as_ref())
-            .and_then(|e| e.global_agent)
-    }
-
-    /// Slab handle backing `tid`'s entry in the enclave's thread table
-    /// (`None` if the thread is not managed there). Handles are recycled
-    /// after a thread dies; this accessor lets tests observe free-list
-    /// reuse and prove a recycled handle is never reachable through the
-    /// dead tid.
-    pub fn thread_handle(&self, eid: EnclaveId, tid: Tid) -> Option<u32> {
-        let core = self.shared.lock().unwrap();
-        core.enclaves
-            .get(eid.0 as usize)
-            .and_then(|s| s.as_ref())
-            .and_then(|e| e.threads.handle_of(tid))
-    }
-
-    /// True if the enclave exists and has not been destroyed.
-    pub fn enclave_alive(&self, eid: EnclaveId) -> bool {
-        let core = self.shared.lock().unwrap();
-        core.enclaves
-            .get(eid.0 as usize)
-            .and_then(|s| s.as_ref())
-            .is_some_and(|e| !e.destroyed)
-    }
-
-    /// True while the enclave is in §3.4 degraded mode: its agent died,
-    /// threads were shed to CFS, and recovery (standby respawn + thread
-    /// reclaim) has not yet completed. Embedding services poll this to
-    /// drive graceful degradation (load shedding, timeouts) while the
-    /// scheduler is down.
-    pub fn enclave_degraded(&self, eid: EnclaveId) -> bool {
-        let core = self.shared.lock().unwrap();
-        core.enclaves
-            .get(eid.0 as usize)
-            .and_then(|s| s.as_ref())
-            .is_some_and(|e| e.recovery.is_some())
     }
 
     /// Publishes a scheduling hint for a managed thread (the workload
-    /// side of Fig. 1's "optional scheduling hints" arrow). The next
-    /// agent activation can read it via `PolicyCtx::hint`. Hints for
-    /// unmanaged tids are rejected (and counted); see
-    /// [`GhostRuntime::try_set_hint`].
-    pub fn set_hint(&self, tid: Tid, hint: u64) {
-        let _ = self.try_set_hint(tid, hint);
-    }
-
-    /// Validated hint publication: rejects tids the runtime does not
-    /// manage — and hints for a dead enclave — with a typed [`AbiError`]
-    /// instead of silently dropping them.
+    /// side of Fig. 1's "optional scheduling hints" arrow); the next
+    /// agent activation can read it via `PolicyCtx::hint`. Rejects tids
+    /// the runtime does not manage — and hints for a dead enclave — with
+    /// a typed [`AbiError`] instead of silently dropping them.
     pub fn try_set_hint(&self, tid: Tid, hint: u64) -> Result<(), AbiError> {
         let mut core = self.shared.lock().unwrap();
         let Some(&eid) = core.thread_enclave.get(tid) else {
             return Err(core.note_reject(AbiError::ForeignThread));
         };
-        let destroyed = match core.enclave_mut(eid) {
-            None => return Err(core.note_reject(AbiError::NoSuchEnclave)),
-            Some(e) => e.destroyed,
-        };
-        if destroyed {
-            return Err(core.note_reject(AbiError::EnclaveDestroyed));
+        if let Err(e) = core.check_enclave(eid) {
+            return Err(core.note_reject(e));
         }
         if let Some(enclave) = core.enclave_mut(eid) {
             enclave.hints.insert(tid, hint);
@@ -1785,60 +1466,9 @@ impl GhostRuntime {
         Ok(())
     }
 
-    /// Reads a managed thread's status word (seq, flags) through the
-    /// validated boundary: forged eids and tids yield a typed
-    /// [`AbiError`], never a panic.
-    pub fn try_thread_status(&self, eid: EnclaveId, tid: Tid) -> Result<(u64, u64), AbiError> {
-        let mut core = self.shared.lock().unwrap();
-        if let Err(e) = core.check_enclave(eid) {
-            return Err(core.note_reject(e));
-        }
-        let found = core
-            .enclaves
-            .get(eid.0 as usize)
-            .and_then(|s| s.as_ref())
-            .and_then(|e| e.threads.get(tid))
-            .map(|info| (info.status.seq(), info.status.flags()));
-        match found {
-            Some(sw) => Ok(sw),
-            None => Err(core.note_reject(AbiError::ForeignThread)),
-        }
-    }
-
-    /// Models an agent scribbling into kernel-owned status-word memory.
-    /// Status words are kernel-published and read-only to agents, so this
-    /// always rejects with [`AbiError::StatusReadOnly`] — and, because no
-    /// benign agent issues kernel-memory writes, always counts a
-    /// byzantine strike against the enclave.
-    pub fn try_write_status(
-        &self,
-        k: &mut dyn GhostBackend,
-        eid: EnclaveId,
-        _tid: Tid,
-        _garbage: u64,
-    ) -> Result<(), AbiError> {
-        let mut core = self.shared.lock().unwrap();
-        let strike_eid = core.check_enclave(eid).is_ok().then_some(eid);
-        Err(core.reject(k, strike_eid, CpuId(0), AbiError::StatusReadOnly))
-    }
-
     /// Snapshot of runtime statistics.
     pub fn stats(&self) -> GhostStats {
         self.shared.lock().unwrap().stats.clone()
-    }
-
-    /// Runs `f` against the enclave's policy (to extract policy-internal
-    /// results after a run).
-    pub fn with_policy<R>(
-        &self,
-        eid: EnclaveId,
-        f: impl FnOnce(&mut dyn GhostPolicy) -> R,
-    ) -> Option<R> {
-        let mut core = self.shared.lock().unwrap();
-        core.policies
-            .get_mut(eid.0 as usize)
-            .and_then(|p| p.as_mut())
-            .map(|p| f(p.as_mut()))
     }
 
     // -- Core lending (deadline-bounded leases) -----------------------------
@@ -1872,29 +1502,6 @@ impl GhostRuntime {
         Ok(())
     }
 
-    /// Lends a batch of CPUs; stops at the first rejection.
-    pub fn lend_cpus(
-        &self,
-        k: &mut dyn GhostBackend,
-        lender: EnclaveId,
-        borrower: EnclaveId,
-        cpus: &[CpuId],
-        duration: Nanos,
-    ) -> Result<(), AbiError> {
-        for &cpu in cpus {
-            self.try_lend_cpu(k, lender, borrower, cpu, duration)?;
-        }
-        Ok(())
-    }
-
-    /// Returns a batch of leased CPUs; stops at the first rejection.
-    pub fn reclaim_cpus(&self, k: &mut dyn GhostBackend, cpus: &[CpuId]) -> Result<(), AbiError> {
-        for &cpu in cpus {
-            self.try_reclaim_cpu(k, cpu)?;
-        }
-        Ok(())
-    }
-
     /// Active leases, sorted by CPU id.
     pub fn leases(&self) -> Vec<Lease> {
         self.shared.lock().unwrap().leases.iter().copied().collect()
@@ -1908,22 +1515,6 @@ impl GhostRuntime {
     /// The active lease on `cpu`, if any.
     pub fn lease_on(&self, cpu: CpuId) -> Option<Lease> {
         self.shared.lock().unwrap().leases.on_cpu(cpu).copied()
-    }
-
-    /// CPUs currently borrowed by `eid`, sorted.
-    pub fn borrowed_by(&self, eid: EnclaveId) -> Vec<CpuId> {
-        self.shared.lock().unwrap().leases.borrowed_by(eid)
-    }
-
-    /// The enclave's current CPU partition (including borrowed CPUs,
-    /// excluding lent-out ones), sorted.
-    pub fn enclave_cpus(&self, eid: EnclaveId) -> Vec<CpuId> {
-        let core = self.shared.lock().unwrap();
-        core.enclaves
-            .get(eid.0 as usize)
-            .and_then(|s| s.as_ref())
-            .map(|e| e.cpus.iter().collect())
-            .unwrap_or_default()
     }
 
     /// Which live enclave currently schedules `cpu`, if any.
@@ -2641,7 +2232,7 @@ impl GhostRuntime {
         let Some(eid) = core.pending_attach.remove(tid) else {
             panic!(
                 "thread {tid} moved into the ghOSt class without an enclave; \
-                 use GhostHandle::attach_thread"
+                 use EnclaveHandle::attach_thread"
             );
         };
         core.thread_enclave.insert(tid, eid);
@@ -2976,37 +2567,16 @@ impl GhostRuntime {
                 enclave.recovery = None;
                 return;
             }
-            enclave.needs_reconstruct = true;
-            enclave.upgraded_at = Some(k.now());
-            for slot in enclave.agents.values() {
-                slot.status.bump_seq();
-            }
-            let mut tids: Vec<Tid> = enclave
-                .recovery
-                .as_ref()
-                .map(|r| r.stashed.tids().collect())
-                .unwrap_or_default();
-            tids.sort_by_key(|t| t.0);
-            for t in tids {
-                if k.thread(t).state == ThreadState::Dead {
-                    if let Some(r) = enclave.recovery.as_mut() {
-                        r.stashed.remove(t);
-                    }
-                    continue;
-                }
-                core.pending_attach.insert(t, eid);
-                k.move_to_class(t, CLASS_GHOST);
-            }
+            core.reclaim_stashed(k, eid);
             core.notify_agents(k, eid);
             return;
         };
         enclave.respawn_attempts += 1;
         core.stats.respawns += 1;
-        let tid = k.spawn_agent(&format!("ghost-standby-e{}-c{}", eid.0, cpu.0), cpu);
-        core.agent_enclave.insert(tid, (eid, cpu));
-        let status = StatusWord::new();
-        status.set_flags(SW_ATTACHED);
-        enclave.agents.insert(cpu, AgentSlot { tid, cpu, status });
+        let tid = core.install_agent(k, eid, cpu, "standby");
+        let enclave = core.enclaves[eid.0 as usize]
+            .as_mut()
+            .expect("checked above");
         match enclave.config.mode {
             AgentMode::Centralized => {
                 if enclave.global_agent.is_none() {
@@ -3040,30 +2610,7 @@ impl GhostRuntime {
         if let Some(factory) = core.standby_factories[eid.0 as usize].as_ref() {
             core.policies[eid.0 as usize] = Some(factory());
         }
-        enclave.needs_reconstruct = true;
-        enclave.upgraded_at = Some(k.now());
-        // Aseq barrier, as in an in-place upgrade.
-        for slot in enclave.agents.values() {
-            slot.status.bump_seq();
-        }
-        // Reclaim: re-attach every surviving stashed thread; `on_attach`
-        // restores its preserved state. Sorted for deterministic replay.
-        let mut tids: Vec<Tid> = enclave
-            .recovery
-            .as_ref()
-            .map(|r| r.stashed.tids().collect())
-            .unwrap_or_default();
-        tids.sort_by_key(|t| t.0);
-        for t in tids {
-            if k.thread(t).state == ThreadState::Dead {
-                if let Some(r) = enclave.recovery.as_mut() {
-                    r.stashed.remove(t);
-                }
-                continue;
-            }
-            core.pending_attach.insert(t, eid);
-            k.move_to_class(t, CLASS_GHOST);
-        }
+        core.reclaim_stashed(k, eid);
         k.wake(tid);
     }
 }
@@ -3222,7 +2769,7 @@ impl GhostRuntime {
         if starved && has_staged {
             // A replacement is already staged: promote it in place rather
             // than destroying the enclave the handoff is about to fix.
-            self.upgrade_now(k, eid);
+            let _ = self.handle(eid).try_upgrade_now(k);
             k.arm_driver_timer(k.now() + timeout / 2, key);
         } else if starved {
             let mut core = self.shared.lock().unwrap();
@@ -3335,7 +2882,7 @@ impl GhostRuntime {
                 .collect()
         };
         for eid in eids {
-            self.upgrade_now(k, eid);
+            let _ = self.handle(eid).try_upgrade_now(k);
         }
     }
 
@@ -3358,7 +2905,7 @@ impl GhostRuntime {
             // In-place upgrade: the staged policy takes over; the dead
             // agent's pthread is respawned by reusing a surviving agent
             // as global (centralized) or leaving per-CPU peers in place.
-            self.upgrade_now(k, eid);
+            let _ = self.handle(eid).try_upgrade_now(k);
             let mut core = self.shared.lock().unwrap();
             if let Some(enclave) = core.enclave_mut(eid) {
                 enclave.agents.remove(cpu);

@@ -123,7 +123,7 @@ fn associate_queue_fails_with_pending_messages() {
         s.script.lock().unwrap().push(Box::new(move |ctx| {
             let q = ctx.create_queue();
             *new_q.lock().unwrap() = q;
-            *ok.lock().unwrap() = Some(ctx.associate_queue(t, q));
+            *ok.lock().unwrap() = Some(ctx.try_associate_queue(t, q).is_ok());
         }));
     }
     s.kernel.run_until(5 * MILLIS);
@@ -146,7 +146,7 @@ fn associate_queue_fails_with_pending_messages() {
     {
         let fail = Arc::clone(&fail);
         s.script.lock().unwrap().push(Box::new(move |ctx| {
-            *fail.lock().unwrap() = Some(ctx.associate_queue(t, QueueId(0)));
+            *fail.lock().unwrap() = Some(ctx.try_associate_queue(t, QueueId(0)).is_ok());
         }));
     }
     // Trigger an activation via the OTHER thread (whose messages go to
@@ -373,7 +373,7 @@ fn txns_recall_withdraws_pending_commit() {
             let mut txn = Transaction::new(t, CpuId(4));
             let committed = ctx.commit_one(&mut txn);
             // Recall it before the target CPU acts on it.
-            let recalled = ctx.recall(CpuId(4));
+            let recalled = ctx.try_recall(CpuId(4)).ok();
             // The thread is schedulable again: a second commit succeeds.
             let mut txn2 = Transaction::new(t, CpuId(5));
             let second = ctx.commit_one(&mut txn2);
@@ -401,15 +401,27 @@ fn destroy_queue_semantics() {
         s.script.lock().unwrap().push(Box::new(move |ctx| {
             let q = ctx.create_queue();
             // Destroying the default queue must fail.
-            results.lock().unwrap().push(ctx.destroy_queue(QueueId(0)));
+            results
+                .lock()
+                .unwrap()
+                .push(ctx.try_destroy_queue(QueueId(0)).is_ok());
             // Destroying an unused fresh queue succeeds.
-            results.lock().unwrap().push(ctx.destroy_queue(q));
+            results
+                .lock()
+                .unwrap()
+                .push(ctx.try_destroy_queue(q).is_ok());
             // Destroying it twice fails.
-            results.lock().unwrap().push(ctx.destroy_queue(q));
+            results
+                .lock()
+                .unwrap()
+                .push(ctx.try_destroy_queue(q).is_ok());
             // A queue with an associated thread cannot be destroyed.
             let q2 = ctx.create_queue();
-            assert!(ctx.associate_queue(t, q2));
-            results.lock().unwrap().push(ctx.destroy_queue(q2));
+            assert!(ctx.try_associate_queue(t, q2).is_ok());
+            results
+                .lock()
+                .unwrap()
+                .push(ctx.try_destroy_queue(q2).is_ok());
         }));
     }
     s.kernel.run_until(5 * MILLIS);
@@ -661,7 +673,7 @@ fn scheduling_hints_reach_the_policy() {
     let t = s.tids[0];
     s.kernel.run_until(MILLIS);
     // The workload publishes a hint (e.g. "my next request is 7 µs").
-    s.runtime.set_hint(t, 7_000);
+    let _ = s.runtime.try_set_hint(t, 7_000);
     let seen = Arc::new(Mutex::new(None));
     {
         let seen = Arc::clone(&seen);

@@ -4,7 +4,7 @@
 //! fault injection (RM crash → leases honored; restart → failover).
 
 use ghost_core::abi::AbiError;
-use ghost_core::enclave::{EnclaveConfig, EnclaveId};
+use ghost_core::enclave::{EnclaveConfig, EnclaveId, QueueId};
 use ghost_core::msg::{Message, MsgType};
 use ghost_core::policy::{GhostPolicy, PolicyCtx};
 use ghost_core::runtime::{EnclaveHandle, GhostRuntime};
@@ -23,6 +23,10 @@ use std::sync::{Arc, Mutex};
 /// Grant/revoke callbacks observed by a policy, shared with the test.
 type LendNotes = Arc<Mutex<(Vec<CpuId>, Vec<CpuId>)>>;
 
+/// The enclave's CPU → queue routing as the policy saw it at its latest
+/// grant callback.
+type Routes = Arc<Mutex<Vec<(CpuId, QueueId)>>>;
+
 /// Centralized FIFO that also records grant/revoke callbacks.
 #[derive(Default)]
 struct FifoPolicy {
@@ -30,6 +34,7 @@ struct FifoPolicy {
     queued: HashSet<Tid>,
     seqs: HashMap<Tid, u64>,
     notes: LendNotes,
+    routes: Routes,
 }
 
 impl FifoPolicy {
@@ -88,8 +93,13 @@ impl GhostPolicy for FifoPolicy {
         }
     }
 
-    fn on_cpu_grant(&mut self, cpu: CpuId, _ctx: &mut PolicyCtx<'_>) {
+    fn on_cpu_grant(&mut self, cpu: CpuId, ctx: &mut PolicyCtx<'_>) {
         self.notes.lock().unwrap().0.push(cpu);
+        *self.routes.lock().unwrap() = ctx
+            .enclave_cpus()
+            .iter()
+            .map(|c| (c, ctx.queue_of_cpu(c)))
+            .collect();
     }
 
     fn on_cpu_revoke(&mut self, cpu: CpuId, _ctx: &mut PolicyCtx<'_>) {
@@ -386,7 +396,7 @@ fn lender_destroy_mid_lease_transfers_cpu_to_borrower() {
         .lend_to(&mut s.kernel.state, &s.protected, &[CpuId(5)], 500 * MILLIS)
         .expect("lend succeeds");
     s.kernel.run_until(20 * MILLIS);
-    s.donor.destroy(&mut s.kernel.state);
+    let _ = s.donor.try_destroy(&mut s.kernel.state);
     s.kernel.run_until(30 * MILLIS);
     assert!(!s.donor.alive());
     assert!(s.protected.alive());
@@ -508,10 +518,7 @@ fn rm_lends_under_backlog_and_returns_when_idle() {
     let drain_from = s.kernel.state.now;
     let _ = s.app;
     s.kernel.run_until(drain_from + 300 * MILLIS);
-    assert!(
-        s.runtime.borrowed_by(s.protected.id()).len() <= 2,
-        "bounded borrowing"
-    );
+    assert!(s.protected.borrowed_cpus().len() <= 2, "bounded borrowing");
     let stats = s.runtime.lease_stats();
     assert_eq!(
         stats.granted,
@@ -779,71 +786,99 @@ fn quarantined_enclave_destroy_reclaims_threads_and_frees_cpus() {
 }
 
 #[test]
-fn per_cpu_borrower_gets_agent_on_granted_cpu() {
-    // A per-CPU borrower must get a fresh pinned agent (with queue
-    // wiring) on the granted CPU, and lose it again at reclaim.
-    let mut kernel = Kernel::new(Topology::test_small(4), KernelConfig::default());
-    let runtime = GhostRuntime::new(kernel.state.topo.num_cpus());
-    let p_cpus: CpuSet = (1..3u16).map(CpuId).collect();
-    let d_cpus: CpuSet = (3..8u16).map(CpuId).collect();
-    let protected = runtime.launch_enclave(
-        &mut kernel,
-        p_cpus,
-        EnclaveConfig::per_cpu("percpu"),
-        Box::new(FifoPolicy::default()),
-    );
-    let donor = runtime.launch_enclave(
-        &mut kernel,
-        d_cpus,
-        EnclaveConfig::centralized("donor"),
-        Box::new(FifoPolicy::default()),
-    );
-    let app = kernel.state.next_app_id();
-    let completions = Arc::new(Mutex::new(HashMap::new()));
-    let mut conf = HashMap::new();
-    let mut threads = Vec::new();
-    for i in 0..4 {
-        let t = kernel.spawn(ThreadSpec::workload(&format!("w{i}"), &kernel.state.topo).app(app));
-        conf.insert(t, (100 * MICROS, MILLIS));
-        threads.push(t);
+fn borrower_gets_agent_on_granted_cpu() {
+    // A per-CPU or per-core borrower must get a fresh pinned agent (with
+    // queue wiring) on the granted CPU, and lose it again at reclaim. On
+    // `test_small(4)` the SMT sibling of CPU `c` is `c + 4`: a per-core
+    // borrower on CPUs 1–2 opens a fresh core queue for CPU 7 (sibling 3
+    // is the donor's) and joins CPU 1's core queue for CPU 5.
+    for (config, lent, joins) in [
+        (EnclaveConfig::per_cpu("percpu"), CpuId(7), None),
+        (EnclaveConfig::per_core("core-sched"), CpuId(7), None),
+        (
+            EnclaveConfig::per_core("core-sched"),
+            CpuId(5),
+            Some(CpuId(1)),
+        ),
+    ] {
+        let case = format!("{:?} borrowing {lent}", config.mode);
+        let routes = Routes::default();
+        let policy = FifoPolicy {
+            routes: Arc::clone(&routes),
+            ..FifoPolicy::default()
+        };
+        let mut kernel = Kernel::new(Topology::test_small(4), KernelConfig::default());
+        let runtime = GhostRuntime::new(kernel.state.topo.num_cpus());
+        let p_cpus: CpuSet = (1..3u16).map(CpuId).collect();
+        let d_cpus: CpuSet = (3..8u16).map(CpuId).collect();
+        let protected = runtime.launch_enclave(&mut kernel, p_cpus, config, Box::new(policy));
+        let donor = runtime.launch_enclave(
+            &mut kernel,
+            d_cpus,
+            EnclaveConfig::centralized("donor"),
+            Box::new(FifoPolicy::default()),
+        );
+        let app = kernel.state.next_app_id();
+        let completions = Arc::new(Mutex::new(HashMap::new()));
+        let mut conf = HashMap::new();
+        let mut threads = Vec::new();
+        for i in 0..4 {
+            let t =
+                kernel.spawn(ThreadSpec::workload(&format!("w{i}"), &kernel.state.topo).app(app));
+            conf.insert(t, (100 * MICROS, MILLIS));
+            threads.push(t);
+        }
+        kernel.add_app(Box::new(PulseApp {
+            conf,
+            completions: Arc::clone(&completions),
+        }));
+        for (i, &t) in threads.iter().enumerate() {
+            protected.attach_thread(&mut kernel.state, t);
+            kernel
+                .state
+                .arm_app_timer((i as u64 + 1) * 10_000, app, t.0 as u64);
+        }
+        kernel.run_until(10 * MILLIS);
+        assert!(protected.agent_on(lent).is_none(), "{case}");
+        donor
+            .lend_to(&mut kernel.state, &protected, &[lent], 40 * MILLIS)
+            .expect("lend succeeds");
+        let leased_agent = protected.agent_on(lent).expect("agent on granted cpu");
+        kernel.run_until(30 * MILLIS);
+        let routes = routes.lock().unwrap().clone();
+        let queue_of = |cpu| routes.iter().find(|&&(c, _)| c == cpu).map(|&(_, q)| q);
+        let lent_q = queue_of(lent).expect("granted CPU is routed");
+        match joins {
+            Some(sibling) => assert_eq!(Some(lent_q), queue_of(sibling), "{case}"),
+            None => assert!(
+                lent_q != QueueId(0) && p_cpus.iter().all(|c| queue_of(c) != Some(lent_q)),
+                "{case}: granted CPU gets its own queue"
+            ),
+        }
+        assert_ne!(
+            kernel.state.thread(leased_agent).state,
+            ThreadState::Dead,
+            "{case}: leased-CPU agent is alive while the lease is out"
+        );
+        // Deadline reclaim: the agent dies with the lease.
+        kernel.run_until(80 * MILLIS);
+        assert!(runtime.leases().is_empty(), "{case}");
+        assert!(protected.agent_on(lent).is_none(), "{case}");
+        assert_eq!(
+            kernel.state.thread(leased_agent).state,
+            ThreadState::Dead,
+            "{case}: borrower's leased-CPU agent is reaped at reclaim"
+        );
+        assert_eq!(runtime.cpu_owner(lent), Some(donor.id()), "{case}");
+        assert!(protected.alive(), "{case}: reclaim is not a crash");
+        for &t in &threads {
+            assert_ne!(kernel.state.thread(t).class, CLASS_CFS, "{case}");
+        }
+        let before = completions.lock().unwrap()[&threads[0]];
+        kernel.run_until(160 * MILLIS);
+        assert!(
+            completions.lock().unwrap()[&threads[0]] > before + 30,
+            "{case}: the borrower keeps serving after reclaim"
+        );
     }
-    kernel.add_app(Box::new(PulseApp {
-        conf,
-        completions: Arc::clone(&completions),
-    }));
-    for (i, &t) in threads.iter().enumerate() {
-        protected.attach_thread(&mut kernel.state, t);
-        kernel
-            .state
-            .arm_app_timer((i as u64 + 1) * 10_000, app, t.0 as u64);
-    }
-    kernel.run_until(10 * MILLIS);
-    assert!(protected.agent_on(CpuId(7)).is_none());
-    donor
-        .lend_to(&mut kernel.state, &protected, &[CpuId(7)], 40 * MILLIS)
-        .expect("lend succeeds");
-    let leased_agent = protected.agent_on(CpuId(7)).expect("agent on granted cpu");
-    kernel.run_until(30 * MILLIS);
-    assert_ne!(
-        kernel.state.thread(leased_agent).state,
-        ThreadState::Dead,
-        "leased-CPU agent is alive while the lease is out"
-    );
-    // Deadline reclaim: the agent dies with the lease.
-    kernel.run_until(80 * MILLIS);
-    assert!(runtime.leases().is_empty());
-    assert!(protected.agent_on(CpuId(7)).is_none());
-    assert_eq!(
-        kernel.state.thread(leased_agent).state,
-        ThreadState::Dead,
-        "borrower's leased-CPU agent is reaped at reclaim"
-    );
-    assert_eq!(runtime.cpu_owner(CpuId(7)), Some(donor.id()));
-    assert!(protected.alive(), "reclaim is not a crash");
-    for &t in &threads {
-        assert_ne!(kernel.state.thread(t).class, CLASS_CFS);
-    }
-    let before = completions.lock().unwrap()[&threads[0]];
-    kernel.run_until(160 * MILLIS);
-    assert!(completions.lock().unwrap()[&threads[0]] > before + 30);
 }

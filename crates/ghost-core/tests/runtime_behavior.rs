@@ -665,7 +665,7 @@ fn destroy_enclave_api_moves_threads_to_cfs() {
         Box::new(FifoPolicy::default()),
     );
     s.kernel.run_until(10 * MILLIS);
-    s.enclave.destroy(&mut s.kernel.state);
+    let _ = s.enclave.try_destroy(&mut s.kernel.state);
     s.kernel.run_until(20 * MILLIS);
     assert!(!s.enclave.alive());
     for &t in &s.threads {
@@ -900,7 +900,7 @@ fn upgrade_reconstructs_without_synthetic_messages() {
     s.kernel.run_until(20 * MILLIS);
     let created_before = s.runtime.stats().posted(MsgType::ThreadCreated);
     s.enclave.stage_upgrade(Box::new(FifoPolicy::default()));
-    assert!(s.enclave.upgrade_now(&mut s.kernel.state));
+    assert!(s.enclave.try_upgrade_now(&mut s.kernel.state).is_ok());
     s.kernel.run_until(100 * MILLIS);
     let stats = s.runtime.stats();
     // The incoming agent seeds itself from the status-word scan: no

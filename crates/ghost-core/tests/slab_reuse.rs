@@ -196,7 +196,7 @@ impl Churn {
     }
 
     fn handle_of(&self, tid: Tid) -> Option<u32> {
-        self.runtime.thread_handle(self.enclave.id(), tid)
+        self.enclave.thread_handle(tid)
     }
 }
 
@@ -236,13 +236,13 @@ fn thread_churn_recycles_handles_without_aliasing() {
     for &tid in &wave_a {
         assert_eq!(c.handle_of(tid), None);
         assert!(matches!(
-            c.runtime.try_thread_status(c.enclave.id(), tid),
+            c.enclave.try_thread_status(tid),
             Err(AbiError::ForeignThread | AbiError::NoSuchThread)
         ));
     }
     // And the recycled slots still serve their new owners.
     for &tid in &wave_b {
-        assert!(c.runtime.try_thread_status(c.enclave.id(), tid).is_ok());
+        assert!(c.enclave.try_thread_status(tid).is_ok());
     }
 }
 

@@ -341,7 +341,7 @@ impl LendingScenario {
                 run.kernel.run_until(h * 2 / 5);
                 // Guarantee a short lease is outstanding when the agent
                 // dies, so its deadline lands mid-recovery.
-                if run.runtime.borrowed_by(run.protected.id()).is_empty() {
+                if run.protected.borrowed_cpus().is_empty() {
                     for &cpu in run.donor.cpus().iter().rev() {
                         if run
                             .runtime

@@ -144,10 +144,13 @@ impl LiveKernel {
         config: EnclaveConfig,
         policy: Box<dyn GhostPolicy>,
     ) -> EnclaveHandle {
-        let id = self.runtime.create_enclave(cpus, config, policy);
+        let id = self
+            .runtime
+            .try_create_enclave(cpus, config, policy)
+            .unwrap_or_else(|err| panic!("launch_enclave: {err}"));
         {
             let mut st = self.shared.state.lock().unwrap();
-            self.runtime.spawn_agents_backend(&mut *st, id);
+            self.runtime.spawn_agents(&mut *st, id);
             st.settle();
         }
         self.runtime.handle(id)

@@ -145,7 +145,7 @@ impl KvService {
     }
 
     /// Marks the service (un)degraded. The embedding polls
-    /// `GhostRuntime::enclave_degraded` and mirrors it here; while set,
+    /// `EnclaveHandle::degraded` and mirrors it here; while set,
     /// admission sheds load past `shed_depth`.
     pub fn set_degraded(&self, on: bool) {
         self.degraded.store(on, Ordering::Release);

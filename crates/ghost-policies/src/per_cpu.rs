@@ -60,7 +60,7 @@ impl PerCpuPolicy {
         // are pending the association fails (§3.1); the thread stays on
         // the current queue and we retry at its next message.
         let q = ctx.queue_of_cpu(cpu);
-        ctx.associate_queue(tid, q);
+        let _ = ctx.try_associate_queue(tid, q);
         cpu
     }
 }
@@ -92,7 +92,7 @@ impl PerCpuPolicy {
         // the association fails (§3.1) and we retry at its next message.
         let q = ctx.queue_of_cpu(thief);
         ctx.charge(100);
-        ctx.associate_queue(tid, q);
+        let _ = ctx.try_associate_queue(tid, q);
     }
 }
 
@@ -165,7 +165,7 @@ impl GhostPolicy for PerCpuPolicy {
             let home = if cpus.contains(s.last_cpu) {
                 self.home.insert(s.tid, s.last_cpu);
                 let q = ctx.queue_of_cpu(s.last_cpu);
-                ctx.associate_queue(s.tid, q);
+                let _ = ctx.try_associate_queue(s.tid, q);
                 s.last_cpu
             } else {
                 self.place_new_thread(s.tid, ctx)

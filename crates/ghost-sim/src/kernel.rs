@@ -637,8 +637,10 @@ impl Kernel {
         self.driver.on_fault(&kind, &mut self.state);
     }
 
-    /// Applies deferred operations until the machine is quiescent.
-    fn settle(&mut self) {
+    /// Applies deferred operations until the machine is quiescent. Setup
+    /// code that queued wakes or class moves through [`KernelState`]
+    /// calls this to apply them before the next event.
+    pub fn settle(&mut self) {
         let queued = self.state.pending_class_moves.len()
             + self.state.pending_wakes.len()
             + self.state.pending_affinity.len()
