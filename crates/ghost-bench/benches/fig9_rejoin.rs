@@ -1,119 +1,29 @@
-//! Fig. 9: agent upgrade / rejoin latency — how long an incoming agent
-//! takes to absorb an enclave's threads by scanning their status words
-//! (§3.4: "the new agent can take over an enclave with 50,000 threads in
-//! the matter of about 105 ms").
-//!
-//! An enclave over the 112-CPU Skylake machine holds N attached threads;
-//! a staged policy version is promoted with `upgrade_now` and the rejoin
-//! latency is read from the trace as `RecoveryStart`-free upgrade time:
-//! promotion instant → `ReconstructDone`. The bench sweeps N = 1k / 10k
-//! / 50k and checks the 50k point lands in the paper's ~105 ms regime.
+//! Fig. 9: in-place upgrade rejoin latency, printed beside the modeled
+//! status-word scan (see `ghost_bench::fig9`).
 
-use ghost_core::enclave::EnclaveConfig;
-use ghost_core::runtime::GhostRuntime;
+use ghost_bench::fig9;
 use ghost_metrics::Table;
-use ghost_policies::CentralizedFifo;
-use ghost_sim::costs::CostModel;
-use ghost_sim::kernel::{Kernel, KernelConfig, ThreadSpec};
-use ghost_sim::time::MILLIS;
-use ghost_sim::topology::{CpuId, Topology};
-use ghost_sim::CpuSet;
-use ghost_trace::{TraceEvent, TraceSink};
-
-/// One rejoin measurement: promote a staged policy over an enclave of
-/// `n` threads and return (measured ns, modeled scan-cost ns).
-fn rejoin_latency(n: usize) -> (u64, u64) {
-    let sink = TraceSink::recording(1, 1 << 20);
-    let topo = Topology::skylake_112();
-    let mut kernel = Kernel::new(
-        topo,
-        KernelConfig {
-            trace: sink.clone(),
-            ..KernelConfig::default()
-        },
-    );
-    let runtime = GhostRuntime::new(kernel.state.topo.num_cpus());
-    let cpus: CpuSet = (1..kernel.state.topo.num_cpus() as u16)
-        .map(CpuId)
-        .collect();
-    let mut config = EnclaveConfig::centralized("fig9");
-    config.queue_capacity = 1 << 17; // Room for n creation messages at once.
-    let enclave =
-        runtime.launch_enclave(&mut kernel, cpus, config, Box::new(CentralizedFifo::new()));
-
-    // The thread pool the new agent must absorb. Threads spawn blocked —
-    // the paper's rejoin experiment measures takeover of an existing
-    // population, not a storm of runnable work.
-    for i in 0..n {
-        let tid = kernel.spawn(ThreadSpec::workload(&format!("t{i}"), &kernel.state.topo));
-        enclave.attach_thread(&mut kernel.state, tid);
-    }
-    // Let the outgoing agent drain every creation message.
-    kernel.run_until(50 * MILLIS);
-
-    enclave.stage_upgrade(Box::new(CentralizedFifo::new()));
-    let t0 = kernel.state.now;
-    assert!(enclave.try_upgrade_now(&mut kernel.state).is_ok());
-    kernel.run_until(t0 + 300 * MILLIS);
-
-    assert_eq!(sink.dropped(), 0, "trace ring too small for n={n}");
-    let records = sink.snapshot();
-    let done = records
-        .iter()
-        .find(|r| r.ts >= t0 && matches!(r.event, TraceEvent::ReconstructDone { .. }))
-        .unwrap_or_else(|| panic!("no ReconstructDone after upgrade at n={n}"));
-    if let TraceEvent::ReconstructDone { threads, .. } = done.event {
-        assert_eq!(threads as usize, n, "scan covered every thread");
-    }
-    let stats = runtime.stats();
-    assert_eq!(stats.upgrades, 1);
-    assert_eq!(stats.reconstructions, 1);
-    let model = CostModel::default().reconstruction_scan(n as u64);
-    (done.ts - t0, model)
-}
 
 fn main() {
-    let sizes = [1_000usize, 10_000, 50_000];
+    let points = fig9::points();
     let mut t = Table::new(vec!["threads", "rejoin (ms)", "scan model (ms)"])
         .with_title("Fig. 9: in-place upgrade rejoin latency (Skylake, 112 CPUs)");
-    let mut measured = Vec::new();
-    for &n in &sizes {
-        let (ns, model) = rejoin_latency(n);
+    for p in &points {
         t.row(vec![
-            n.to_string(),
-            format!("{:.2}", ns as f64 / 1e6),
-            format!("{:.2}", model as f64 / 1e6),
+            p.threads.to_string(),
+            format!("{:.2}", p.measured_ns as f64 / 1e6),
+            format!("{:.2}", p.model_ns as f64 / 1e6),
         ]);
-        measured.push((n, ns, model));
     }
     t.print();
     println!();
 
-    // Latency grows with the population: the scan is O(n).
-    for w in measured.windows(2) {
-        assert!(
-            w[1].1 > w[0].1,
-            "rejoin latency not monotone: {} threads took {} ns, {} took {} ns",
-            w[0].0,
-            w[0].1,
-            w[1].0,
-            w[1].1
-        );
-    }
-    // Each point sits on the modeled scan cost plus bounded activation
-    // overhead (message-queue drain, syscalls) — never below the model.
-    for &(n, ns, model) in &measured {
-        assert!(
-            ns >= model && ns < model + model / 2 + MILLIS,
-            "n={n}: measured {ns} ns vs modeled scan {model} ns"
-        );
-    }
-    // The headline number: ~105 ms to absorb 50k threads.
-    let (_, ns_50k, _) = measured[2];
-    let ms = ns_50k as f64 / 1e6;
+    let errors = fig9::shape_errors(&points);
     assert!(
-        (90.0..130.0).contains(&ms),
-        "50k-thread rejoin took {ms:.1} ms, expected the paper's ~105 ms regime"
+        errors.is_empty(),
+        "Fig. 9 shape broken:\n{}",
+        errors.join("\n")
     );
+    let ms = points[2].measured_ns as f64 / 1e6;
     println!("50k-thread rejoin: {ms:.1} ms (paper: ~105 ms)  -- shape OK");
 }

@@ -34,7 +34,7 @@ use ghost_lab::{
 use ghost_live::{LiveConfig, LiveKernel};
 use ghost_sim::time::{Nanos, MILLIS, SECS};
 use ghost_sim::topology::CpuId;
-use ghost_trace::derive::TraceMetrics;
+use ghost_trace::derive::{percentile, TraceMetrics};
 use ghost_trace::json::Json;
 use ghost_trace::TraceSink;
 use std::collections::BTreeMap;
@@ -557,17 +557,6 @@ impl Sweep for LendingLiveSweep {
 fn lending_fault(doc: &Json) -> Result<LendingFault, String> {
     let name = repro::field_str(doc, "fault")?;
     LendingFault::from_name(name).ok_or_else(|| format!("unknown lending fault '{name}'"))
-}
-
-/// Nearest-rank percentile over an unsorted span list.
-fn percentile(spans: &[u64], q: f64) -> Option<u64> {
-    if spans.is_empty() {
-        return None;
-    }
-    let mut sorted = spans.to_vec();
-    sorted.sort_unstable();
-    let rank = ((q * sorted.len() as f64).ceil() as usize).clamp(1, sorted.len());
-    Some(sorted[rank - 1])
 }
 
 #[cfg(test)]

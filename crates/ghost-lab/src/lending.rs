@@ -24,7 +24,7 @@
 
 use crate::cache::fnv64_lines;
 use crate::engine::{Experiment, ExperimentResult};
-use crate::scenario::{attach_workload, PolicyKind, WorkloadSpec};
+use crate::scenario::{attach_workload, trace_sink, PolicyKind, WorkloadSpec};
 use crate::schema::{BenchRow, ScoreCols};
 use ghost_core::runtime::{EnclaveHandle, GhostRuntime};
 use ghost_core::{RmConfig, StandbyConfig};
@@ -169,8 +169,9 @@ pub struct LendingScenario {
     pub seed: u64,
     /// Virtual run length.
     pub horizon: Nanos,
-    /// Trace ring capacity (0 disables tracing — but lease-latency
-    /// metrics then vanish, so the library default records).
+    /// Capacity of the one trace ring every CPU records into (0 disables
+    /// tracing — but lease-latency metrics then vanish, so the library
+    /// default records).
     pub trace_capacity: usize,
 }
 
@@ -235,11 +236,7 @@ impl LendingScenario {
     /// small topology, protected on {1,2}, donor on {3..8}, workloads
     /// attached, RM started.
     pub fn launch(&self) -> LendingRun {
-        let sink = if self.trace_capacity > 0 {
-            TraceSink::recording(1, self.trace_capacity)
-        } else {
-            TraceSink::Null
-        };
+        let sink = trace_sink(self.trace_capacity);
         let mut kernel = Kernel::new(
             Topology::test_small(4),
             KernelConfig {

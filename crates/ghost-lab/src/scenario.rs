@@ -228,6 +228,16 @@ pub fn fault_spec_line(fe: &FaultEvent) -> String {
     format!("fault at={} {body}", fe.at)
 }
 
+/// The trace sink for a run: one ring of `capacity` records that every
+/// CPU records into, or [`TraceSink::Null`] when `capacity` is 0.
+pub(crate) fn trace_sink(capacity: usize) -> TraceSink {
+    if capacity > 0 {
+        TraceSink::recording(1, capacity)
+    } else {
+        TraceSink::Null
+    }
+}
+
 /// A complete, self-contained experiment description. Pure data: two
 /// equal scenarios produce byte-identical runs.
 #[derive(Debug, Clone, PartialEq)]
@@ -252,7 +262,8 @@ pub struct Scenario {
     pub stage_upgrade: bool,
     /// Arm a hot standby with a respawn factory (§3.4 failover).
     pub standby: bool,
-    /// Trace ring capacity per CPU; 0 disables tracing.
+    /// Capacity of the one trace ring every CPU records into; 0
+    /// disables tracing.
     pub trace_capacity: usize,
     /// Enclave CPUs; `None` = the policy's default placement.
     pub enclave_cpus: Option<Vec<u16>>,
@@ -309,11 +320,7 @@ impl Scenario {
     /// half-way state (inject crashes, check agents) run the kernel
     /// themselves from here.
     pub fn launch(&self) -> LabRun {
-        let sink = if self.trace_capacity > 0 {
-            TraceSink::recording(1, self.trace_capacity)
-        } else {
-            TraceSink::Null
-        };
+        let sink = trace_sink(self.trace_capacity);
         let mut config = KernelConfig {
             seed: self.seed,
             trace: sink.clone(),
@@ -494,7 +501,8 @@ impl ScenarioBuilder {
         self
     }
 
-    /// Trace ring capacity per recorder CPU; 0 disables tracing.
+    /// Capacity of the one trace ring every CPU records into; 0
+    /// disables tracing.
     pub fn trace_capacity(mut self, capacity: usize) -> Self {
         self.scenario.trace_capacity = capacity;
         self
@@ -523,11 +531,7 @@ impl ScenarioBuilder {
     /// [`GhostSim::sink`]-style cloning from `kernel.state.trace`.
     pub fn build_kernel(self) -> (Kernel, TraceSink) {
         let s = self.scenario;
-        let sink = if s.trace_capacity > 0 {
-            TraceSink::recording(1, s.trace_capacity)
-        } else {
-            TraceSink::Null
-        };
+        let sink = trace_sink(s.trace_capacity);
         let mut config = KernelConfig {
             seed: s.seed,
             trace: sink.clone(),

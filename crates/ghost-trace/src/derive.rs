@@ -200,17 +200,12 @@ impl TraceMetrics {
 
     /// Nearest-rank percentile of the revoke-to-reclaim spans, ns.
     pub fn lease_reclaim_percentile_ns(&self, q: f64) -> Option<u64> {
-        if self.lease_reclaim_spans.is_empty() {
-            return None;
-        }
-        let mut lat: Vec<u64> = self
+        let lat: Vec<u64> = self
             .lease_reclaim_spans
             .iter()
             .map(|(revoked, reclaimed)| reclaimed.saturating_sub(*revoked))
             .collect();
-        lat.sort_unstable();
-        let rank = ((q * lat.len() as f64).ceil() as usize).clamp(1, lat.len());
-        Some(lat[rank - 1])
+        percentile(&lat, q)
     }
 
     /// Fraction of `cpu`'s accounted time spent running `class`.
@@ -227,6 +222,18 @@ impl TraceMetrics {
             }
         }
     }
+}
+
+/// Nearest-rank percentile `q` (in 0..=1) of an unsorted sample.
+/// `None` when `values` is empty.
+pub fn percentile(values: &[u64], q: f64) -> Option<u64> {
+    if values.is_empty() {
+        return None;
+    }
+    let mut sorted = values.to_vec();
+    sorted.sort_unstable();
+    let rank = ((q * sorted.len() as f64).ceil() as usize).clamp(1, sorted.len());
+    Some(sorted[rank - 1])
 }
 
 #[cfg(test)]
@@ -368,6 +375,16 @@ mod tests {
         assert_eq!(m.lease_reclaim_spans, vec![(5_000, 5_400), (8_000, 8_200)]);
         assert_eq!(m.lease_reclaim_p99_ns(), Some(400));
         assert_eq!(m.lease_reclaim_percentile_ns(0.5), Some(200));
+    }
+
+    #[test]
+    fn percentile_is_nearest_rank_over_unsorted_samples() {
+        assert_eq!(percentile(&[], 0.5), None);
+        let v = [40, 10, 30, 20];
+        assert_eq!(percentile(&v, 0.0), Some(10));
+        assert_eq!(percentile(&v, 0.5), Some(20));
+        assert_eq!(percentile(&v, 0.51), Some(30));
+        assert_eq!(percentile(&v, 1.0), Some(40));
     }
 
     #[test]

@@ -1,48 +1,38 @@
 //! Bounded per-CPU ring buffers for trace records, ftrace-style: each CPU
-//! gets its own preallocated ring, a full ring overwrites its oldest record
-//! (readers prefer recent history), and overwrites are counted so consumers
-//! know the stream is lossy. Nothing allocates after construction.
+//! gets its own ring, reserved up front; pages touched only as records
+//! arrive. A full ring overwrites its oldest record (readers prefer recent
+//! history), and overwrites are counted so consumers know the stream is
+//! lossy. Nothing allocates after construction.
+
+use std::collections::VecDeque;
 
 use crate::{Nanos, TraceEvent, TraceRecord};
 
 #[derive(Debug)]
 struct Ring {
-    buf: Vec<Option<TraceRecord>>,
-    /// Index of the oldest record.
-    head: usize,
-    /// Number of live records (≤ buf.len()).
-    len: usize,
+    /// Oldest record at the front; never holds more than `cap` records,
+    /// so it never grows past its construction-time reservation.
+    buf: VecDeque<TraceRecord>,
+    cap: usize,
     /// Records overwritten because the ring was full.
     dropped: u64,
 }
 
 impl Ring {
-    fn new(capacity: usize) -> Self {
+    fn new(cap: usize) -> Self {
         Ring {
-            buf: vec![None; capacity],
-            head: 0,
-            len: 0,
+            buf: VecDeque::with_capacity(cap),
+            cap,
             dropped: 0,
         }
     }
 
     fn push(&mut self, rec: TraceRecord) {
-        let cap = self.buf.len();
-        let tail = (self.head + self.len) % cap;
-        if self.len == cap {
-            // Overwrite the oldest record and advance the head.
-            self.buf[tail] = Some(rec);
-            self.head = (self.head + 1) % cap;
+        if self.buf.len() == self.cap {
+            self.buf.pop_front();
             self.dropped += 1;
-        } else {
-            self.buf[tail] = Some(rec);
-            self.len += 1;
         }
-    }
-
-    fn iter(&self) -> impl Iterator<Item = &TraceRecord> + '_ {
-        let cap = self.buf.len();
-        (0..self.len).filter_map(move |i| self.buf[(self.head + i) % cap].as_ref())
+        self.buf.push_back(rec);
     }
 }
 
@@ -56,7 +46,8 @@ pub struct TraceRecorder {
 }
 
 impl TraceRecorder {
-    /// `num_cpus` rings of `capacity` records each, fully preallocated.
+    /// `num_cpus` rings of `capacity` records each, reserved up front;
+    /// pages touched only as records arrive.
     pub fn new(num_cpus: usize, capacity: usize) -> Self {
         let num_cpus = num_cpus.max(1);
         let capacity = capacity.max(1);
@@ -82,7 +73,12 @@ impl TraceRecorder {
 
     /// All surviving records merged across rings, in `seq` order.
     pub fn snapshot(&self) -> Vec<TraceRecord> {
-        let mut all: Vec<TraceRecord> = self.rings.iter().flat_map(|r| r.iter().copied()).collect();
+        let mut all = Vec::with_capacity(self.rings.iter().map(|r| r.buf.len()).sum());
+        for r in &self.rings {
+            let (front, back) = r.buf.as_slices();
+            all.extend_from_slice(front);
+            all.extend_from_slice(back);
+        }
         all.sort_by_key(|r| r.seq);
         all
     }
@@ -100,13 +96,7 @@ impl TraceRecorder {
     /// Discards all records (drop counters and the seq stamp survive, like
     /// `trace_pipe` consuming the buffer).
     pub fn clear(&mut self) {
-        for r in &mut self.rings {
-            r.head = 0;
-            r.len = 0;
-            for slot in &mut r.buf {
-                *slot = None;
-            }
-        }
+        self.rings.iter_mut().for_each(|r| r.buf.clear());
     }
 }
 
@@ -173,5 +163,127 @@ mod tests {
         assert_eq!(rec.dropped(), 3);
         rec.record(9, 0, tick(0));
         assert_eq!(rec.snapshot()[0].seq, 5);
+    }
+
+    /// Sequential reference: every ring keeps its last `cap` records, and
+    /// the merged view orders them by `seq`.
+    struct Model {
+        rings: Vec<Vec<TraceRecord>>,
+        cap: usize,
+        dropped: u64,
+        recorded: u64,
+    }
+
+    impl Model {
+        fn record(&mut self, ts: Nanos, cpu: u16) {
+            let idx = (cpu as usize).min(self.rings.len() - 1);
+            let ring = &mut self.rings[idx];
+            ring.push(TraceRecord {
+                seq: self.recorded,
+                ts,
+                cpu,
+                event: tick(cpu),
+            });
+            self.recorded += 1;
+            if ring.len() > self.cap {
+                ring.remove(0);
+                self.dropped += 1;
+            }
+        }
+
+        fn snapshot(&self) -> Vec<TraceRecord> {
+            let mut all = self.rings.concat();
+            all.sort_by_key(|r| r.seq);
+            all
+        }
+    }
+
+    #[derive(Debug, Clone, Copy)]
+    enum Op {
+        Record(u16),
+        Clear,
+    }
+
+    /// splitmix64: a seeded op stream without an RNG dependency.
+    fn next(state: &mut u64) -> u64 {
+        *state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
+        let mut z = *state;
+        z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+        z ^ (z >> 31)
+    }
+
+    #[test]
+    fn rings_match_reference_model() {
+        for cpus in 1..=3usize {
+            for cap in 1..=5usize {
+                for seed in 0..200u64 {
+                    // Seed 0 scripts a partly filled ring, a clear, then
+                    // fewer than `cap` records into the emptied ring.
+                    let mut ops = Vec::new();
+                    if seed == 0 {
+                        let part = (cap - 1).max(1);
+                        ops.extend(std::iter::repeat_n(Op::Record(0), part));
+                        ops.push(Op::Clear);
+                        ops.extend(std::iter::repeat_n(Op::Record(0), cap - 1));
+                    }
+                    let mut rng = seed * 31 + (cpus * 8 + cap) as u64;
+                    let len = 1 + next(&mut rng) % 40;
+                    for _ in 0..len {
+                        let r = next(&mut rng);
+                        ops.push(if r.is_multiple_of(8) {
+                            Op::Clear
+                        } else {
+                            // One id past the last ring exercises the clamp.
+                            Op::Record((r >> 8) as u16 % (cpus as u16 + 1))
+                        });
+                    }
+
+                    let mut rec = TraceRecorder::new(cpus, cap);
+                    let mut model = Model {
+                        rings: vec![Vec::new(); cpus],
+                        cap,
+                        dropped: 0,
+                        recorded: 0,
+                    };
+                    for (i, &op) in ops.iter().enumerate() {
+                        match op {
+                            Op::Record(cpu) => {
+                                rec.record(i as Nanos, cpu, tick(cpu));
+                                model.record(i as Nanos, cpu);
+                            }
+                            Op::Clear => {
+                                rec.clear();
+                                model.rings.iter_mut().for_each(Vec::clear);
+                            }
+                        }
+                        let ctx =
+                            format!("cpus={cpus} cap={cap} seed={seed} after {:?}", &ops[..=i]);
+                        assert_eq!(rec.snapshot(), model.snapshot(), "{ctx}");
+                        assert_eq!(rec.dropped(), model.dropped, "{ctx}");
+                        assert_eq!(rec.recorded(), model.recorded, "{ctx}");
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn rings_never_grow_past_their_reservation() {
+        for cpus in 1..=3usize {
+            for cap in 1..=5usize {
+                let mut rec = TraceRecorder::new(cpus, cap);
+                let reserved: Vec<usize> = rec.rings.iter().map(|r| r.buf.capacity()).collect();
+                assert!(reserved.iter().all(|&c| c >= cap));
+                for cpu in 0..cpus as u16 {
+                    for i in 0..3 * cap {
+                        rec.record(i as Nanos, cpu, tick(cpu));
+                    }
+                }
+                let after: Vec<usize> = rec.rings.iter().map(|r| r.buf.capacity()).collect();
+                assert_eq!(after, reserved, "cpus={cpus} cap={cap}");
+                assert_eq!(rec.dropped(), (cpus * 2 * cap) as u64);
+            }
+        }
     }
 }
