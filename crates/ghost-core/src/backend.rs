@@ -18,6 +18,7 @@
 use ghost_sim::class::ClassId;
 use ghost_sim::costs::CostModel;
 use ghost_sim::cpuset::CpuSet;
+use ghost_sim::faults::FaultPlan;
 use ghost_sim::kernel::{KernelState, ThreadSpec};
 use ghost_sim::thread::{ThreadKind, ThreadState, Tid};
 use ghost_sim::time::Nanos;
@@ -79,12 +80,17 @@ impl BackendCpu {
 /// | hook | DES (`ghost-sim`) | live (`ghost-live`) |
 /// |---|---|---|
 /// | `now` | virtual event clock | monotonic wall clock |
-/// | `wake`/`wake_at` | deferred-op buffer / event queue | unpark + timer heap |
+/// | `wake`/`wake_at` | `Deferred` wake / event queue | `Deferred` wake + unpark / timer heap |
 /// | `send_ipi` | `Resched` event at `at` | preempt flag + unpark |
 /// | `arm_driver_timer` | `DriverTimer` event | timer-thread heap |
 /// | `spawn_agent` | agent `SimThread` | real `std::thread` |
-/// | `kill` | deferred kill buffer | exit command + join |
-/// | faults | `FaultPlan` over virtual time | `FaultPlan` over wall clock |
+/// | `kill` | `Deferred` kill | `Deferred` kill + exit command |
+/// | `faults` | `FaultPlan` over virtual time | `FaultPlan` over wall clock |
+///
+/// Both backends queue deferred operations on one
+/// `ghost_sim::deferred::Deferred` and drain it in its order. The
+/// bounds-checked snapshots and the `fault_*` window predicates are
+/// provided methods over the required ones.
 pub trait GhostBackend {
     /// Current time in nanoseconds (virtual or monotonic).
     fn now(&self) -> Nanos;
@@ -118,7 +124,9 @@ pub trait GhostBackend {
     fn thread(&self, tid: Tid) -> BackendThread;
 
     /// Bounds-checked snapshot of a thread (for agent-supplied tids).
-    fn thread_checked(&self, tid: Tid) -> Option<BackendThread>;
+    fn thread_checked(&self, tid: Tid) -> Option<BackendThread> {
+        self.valid_tid(tid).then(|| self.thread(tid))
+    }
 
     /// Snapshot of a CPU.
     ///
@@ -128,7 +136,9 @@ pub trait GhostBackend {
     fn cpu(&self, cpu: CpuId) -> BackendCpu;
 
     /// Bounds-checked snapshot of a CPU (for agent-supplied ids).
-    fn cpu_checked(&self, cpu: CpuId) -> Option<BackendCpu>;
+    fn cpu_checked(&self, cpu: CpuId) -> Option<BackendCpu> {
+        self.valid_cpu(cpu).then(|| self.cpu(cpu))
+    }
 
     /// True if `cpu`'s SMT sibling is occupied.
     fn sibling_busy(&self, cpu: CpuId) -> bool;
@@ -163,14 +173,23 @@ pub trait GhostBackend {
     /// Spawns an agent pthread pinned to `cpu`, starting blocked.
     fn spawn_agent(&mut self, name: &str, cpu: CpuId) -> Tid;
 
+    /// The fault schedule, read against [`GhostBackend::now`].
+    fn faults(&self) -> &FaultPlan;
+
     /// True while an injected queue-overflow fault window is active.
-    fn fault_queue_overflow_active(&self) -> bool;
+    fn fault_queue_overflow_active(&self) -> bool {
+        self.faults().queue_overflow_active(self.now())
+    }
 
     /// End of an injected agent-hang window covering `now`, if any.
-    fn fault_agent_hang_until(&self, cpu: CpuId) -> Option<Nanos>;
+    fn fault_agent_hang_until(&self, cpu: CpuId) -> Option<Nanos> {
+        self.faults().agent_hang_until(cpu, self.now())
+    }
 
     /// Slowdown factor from an injected agent-slow window (1 = none).
-    fn fault_agent_slow_factor(&self, cpu: CpuId) -> u64;
+    fn fault_agent_slow_factor(&self, cpu: CpuId) -> u64 {
+        self.faults().agent_slow_factor(cpu, self.now())
+    }
 }
 
 impl GhostBackend for KernelState {
@@ -218,28 +237,12 @@ impl GhostBackend for KernelState {
         }
     }
 
-    fn thread_checked(&self, tid: Tid) -> Option<BackendThread> {
-        if KernelState::valid_tid(self, tid) {
-            Some(GhostBackend::thread(self, tid))
-        } else {
-            None
-        }
-    }
-
     fn cpu(&self, cpu: CpuId) -> BackendCpu {
         let c = &self.cpus[cpu.index()];
         BackendCpu {
             current: c.current,
             idle: c.is_idle(),
             cfs_queued: c.cfs_queued,
-        }
-    }
-
-    fn cpu_checked(&self, cpu: CpuId) -> Option<BackendCpu> {
-        if KernelState::valid_cpu(self, cpu) {
-            Some(GhostBackend::cpu(self, cpu))
-        } else {
-            None
         }
     }
 
@@ -287,15 +290,7 @@ impl GhostBackend for KernelState {
         )
     }
 
-    fn fault_queue_overflow_active(&self) -> bool {
-        self.cfg.faults.queue_overflow_active(self.now)
-    }
-
-    fn fault_agent_hang_until(&self, cpu: CpuId) -> Option<Nanos> {
-        self.cfg.faults.agent_hang_until(cpu, self.now)
-    }
-
-    fn fault_agent_slow_factor(&self, cpu: CpuId) -> u64 {
-        self.cfg.faults.agent_slow_factor(cpu, self.now)
+    fn faults(&self) -> &FaultPlan {
+        &self.cfg.faults
     }
 }

@@ -89,8 +89,13 @@ impl LiveKernel {
         let n = config.cpus.max(1) as u16;
         let topo = Topology::new("live", 1, n, 1, n);
         let runtime = GhostRuntime::new(topo.num_cpus());
-        let mut state = LiveState::new(topo, config.costs, config.trace, config.seed);
-        state.runtime = Some(runtime.clone());
+        let mut state = LiveState::new(
+            topo,
+            config.costs,
+            config.trace,
+            config.seed,
+            runtime.clone(),
+        );
         state.install_faults(config.faults);
         let shared = Arc::new(LiveShared {
             state: Mutex::new(state),
@@ -294,37 +299,16 @@ impl LiveKernel {
             .collect()
     }
 
-    /// Stops every managed OS thread and joins them. Consumes the kernel.
-    pub fn shutdown(mut self) {
-        let joins: Vec<JoinHandle<()>> = {
-            let mut st = self.shared.state.lock().unwrap();
-            st.shutdown = true;
-            for t in &st.threads {
-                t.ctl.set_preempt();
-                t.ctl.post(WorkerCmd::Exit);
-            }
-            st.timer_cv.notify_all();
-            st.threads
-                .iter_mut()
-                .filter_map(|t| t.join.take())
-                .collect()
-        };
-        if let Some(timer) = self.timer.take() {
-            let _ = timer.join();
-        }
-        for join in joins {
-            let _ = join.join();
-        }
-    }
+    /// Stops every managed OS thread and joins them. Consumes the kernel;
+    /// dropping it does the same.
+    pub fn shutdown(self) {}
 }
 
 impl Drop for LiveKernel {
+    /// Stops every managed OS thread and joins them, so worker threads
+    /// never outlive the kernel (an explicit shutdown, a panic, or a
+    /// kernel simply dropped).
     fn drop(&mut self) {
-        // `shutdown()` consumed self normally; this path covers panics and
-        // forgotten shutdowns so worker threads never outlive the kernel.
-        if self.timer.is_none() {
-            return;
-        }
         let joins: Vec<JoinHandle<()>> = {
             let mut st = self.shared.state.lock().unwrap();
             st.shutdown = true;
@@ -379,26 +363,25 @@ fn timer_main(shared: Arc<LiveShared>, rt: GhostRuntime, tick_ns: Nanos) {
                     // forward to the runtime (which interprets Upgrade).
                     let kind = st.faults.events[idx].kind.clone();
                     st.stats.faults_injected += 1;
-                    match kind {
-                        FaultKind::AgentCrash { cpu } => {
-                            if let Some(victim) = st.agent_on(cpu) {
-                                // The agent's real OS thread exits at its
-                                // next mailbox check; §3.4 failover
-                                // (fallback/standby respawn) runs inside
-                                // this settle via hook_agent_killed.
-                                GhostBackend::kill(&mut *st, victim);
-                            }
+                    let threads = st.threads.iter().enumerate();
+                    let victim = kind
+                        .victim(threads.map(|(i, t)| (Tid(i as u32), t.kind, t.state, t.affinity)));
+                    match (&kind, victim) {
+                        // The agent's real OS thread exits at its next
+                        // mailbox check; §3.4 failover (fallback/standby
+                        // respawn) runs inside this settle via
+                        // hook_agent_killed.
+                        (FaultKind::AgentCrash { .. }, Some(tid)) => {
+                            GhostBackend::kill(&mut *st, tid)
                         }
-                        FaultKind::SpuriousWakeup { nth } => {
-                            if let Some(t) = st.nth_live_workload(nth) {
-                                GhostBackend::wake(&mut *st, t);
-                            }
+                        (FaultKind::SpuriousWakeup { .. }, Some(tid)) => {
+                            GhostBackend::wake(&mut *st, tid)
                         }
                         _ => {}
                     }
                     rt.hook_fault(&mut *st, &kind);
                 }
-                // Wakes and IPIs were folded into the deferred buffers.
+                // Wakes and IPIs were folded into the deferred queue.
                 TimerEntry::Wake(_) | TimerEntry::Resched(_) => {}
             }
         }

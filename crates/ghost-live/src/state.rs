@@ -2,13 +2,14 @@
 //!
 //! One mutex-protected [`LiveState`] plays the role the event-driven
 //! `KernelState` plays in the DES: it owns the thread table, the CPU
-//! lanes, the timer heap, and the deferred-operation buffers. Scheduling
+//! lanes, the timer heap, and a [`Deferred`] operation queue. Scheduling
 //! logic runs on whichever OS thread triggered it (a worker ending a
 //! stint, the timer thread firing a watchdog, an agent committing a
 //! transaction), serialized by the state lock; the `ghost-core` hooks are
-//! invoked from [`LiveState::settle`] in exactly the DES's deferred-op
-//! priority order (class moves → wakes → kills → rescheds), so the two
-//! backends present the same event ordering to an unmodified policy.
+//! invoked from `LiveState::settle`, which drains the same
+//! [`Deferred`] type the DES's `Kernel::settle` drains, in its one
+//! priority order and under its livelock guard, so the two backends
+//! present the same event ordering to an unmodified policy.
 //!
 //! "CPUs" here are the enclave's logical lanes, not pinned hardware
 //! threads: a dispatched worker is unparked and runs wherever the host
@@ -23,8 +24,8 @@ use ghost_core::{GhostBackend, GhostRuntime};
 use ghost_sim::class::{ClassId, OffCpuReason, CLASS_CFS, CLASS_GHOST, CLASS_IDLE};
 use ghost_sim::costs::CostModel;
 use ghost_sim::cpuset::CpuSet;
+use ghost_sim::deferred::{Deferred, Op};
 use ghost_sim::faults::{FaultPlan, IpiFate};
-use ghost_sim::settle_budget;
 use ghost_sim::thread::{ThreadKind, ThreadState, Tid};
 use ghost_sim::time::Nanos;
 use ghost_sim::topology::{CpuId, Topology};
@@ -32,7 +33,7 @@ use ghost_trace::{TraceEvent, TraceSink, NO_TID, PREV_BLOCKED, PREV_DEAD, PREV_R
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::cmp::Reverse;
-use std::collections::{BinaryHeap, VecDeque};
+use std::collections::BinaryHeap;
 use std::sync::{Arc, Condvar};
 use std::thread::JoinHandle;
 
@@ -159,20 +160,16 @@ pub struct LiveState {
     pub(crate) threads: Vec<LiveThread>,
     pub(crate) cpus: Vec<LiveCpu>,
     pub(crate) stats: LiveStats,
-    pub(crate) runtime: Option<GhostRuntime>,
+    runtime: GhostRuntime,
     pub(crate) shutdown: bool,
 
-    // Deferred operations, drained by `settle()` in DES priority order.
-    pending_class_moves: VecDeque<(Tid, ClassId)>,
-    pending_wakes: VecDeque<Tid>,
-    pending_kills: VecDeque<Tid>,
-    /// `(cpu, arm_at)`: reschedule `cpu`, honouring the commit's arm
-    /// time — `hook_pick_next` refuses slots whose IPI has not logically
+    /// Deferred operations, drained by `settle()`. A reschedule carries
+    /// `(cpu, arm_at)`, honouring the commit's arm time —
+    /// `hook_pick_next` refuses slots whose IPI has not logically
     /// arrived, so an early resched re-arms a timer instead of dropping
-    /// the dispatch on the floor.
-    pending_resched: VecDeque<(CpuId, Nanos)>,
-    /// Agents created via the trait that still need an OS thread.
-    pending_spawns: VecDeque<(Tid, CpuId)>,
+    /// the dispatch on the floor. A spawn is an agent created via the
+    /// trait that still needs an OS thread.
+    deferred: Deferred<(CpuId, Nanos)>,
 
     pub(crate) timers: BinaryHeap<Reverse<TimerSlot>>,
     timer_seq: u64,
@@ -193,7 +190,13 @@ pub struct LiveState {
 }
 
 impl LiveState {
-    pub(crate) fn new(topo: Topology, costs: CostModel, trace: TraceSink, seed: u64) -> Self {
+    pub(crate) fn new(
+        topo: Topology,
+        costs: CostModel,
+        trace: TraceSink,
+        seed: u64,
+        runtime: GhostRuntime,
+    ) -> Self {
         let n = topo.num_cpus();
         Self {
             clock: MonotonicClock::new(),
@@ -204,13 +207,9 @@ impl LiveState {
             threads: Vec::new(),
             cpus: (0..n).map(|_| LiveCpu::default()).collect(),
             stats: LiveStats::default(),
-            runtime: None,
+            runtime,
             shutdown: false,
-            pending_class_moves: VecDeque::new(),
-            pending_wakes: VecDeque::new(),
-            pending_kills: VecDeque::new(),
-            pending_resched: VecDeque::new(),
-            pending_spawns: VecDeque::new(),
+            deferred: Deferred::default(),
             timers: BinaryHeap::new(),
             timer_seq: 0,
             timer_cv: Arc::new(Condvar::new()),
@@ -260,7 +259,7 @@ impl LiveState {
     /// agent's CPU when the agent blocks, and this is the live analogue.
     pub(crate) fn request_resched(&mut self, cpu: CpuId) {
         let now = self.clock.now();
-        self.pending_resched.push_back((cpu, now));
+        self.deferred.push(Op::Resched((cpu, now)));
     }
 
     fn arm_timer(&mut self, at: Nanos, entry: TimerEntry) {
@@ -279,7 +278,7 @@ impl LiveState {
     }
 
     /// Pops every timer due at or before `now`, applying each: wakes and
-    /// IPIs go to the deferred buffers; driver timers and agent loops are
+    /// IPIs go to the deferred queue; driver timers and agent loops are
     /// returned for the caller (the timer thread) to run outside this
     /// borrow.
     pub(crate) fn take_due_timers(&mut self, now: Nanos) -> Vec<TimerEntry> {
@@ -291,49 +290,35 @@ impl LiveState {
             let Reverse(slot) = self.timers.pop().unwrap();
             self.stats.timers_fired += 1;
             match slot.entry {
-                TimerEntry::Wake(tid) => self.pending_wakes.push_back(tid),
-                TimerEntry::Resched(cpu) => self.pending_resched.push_back((cpu, slot.at)),
+                TimerEntry::Wake(tid) => self.deferred.push(Op::Wake(tid)),
+                TimerEntry::Resched(cpu) => self.deferred.push(Op::Resched((cpu, slot.at))),
                 entry => due.push(entry),
             }
         }
         due
     }
 
-    /// Applies deferred operations until quiescent, in the DES's priority
-    /// order, under the same [`settle_budget`] livelock guard as
+    /// Applies deferred operations until quiescent, popped from the same
+    /// [`Deferred`] queue (priority order and livelock guard) as
     /// `ghost-sim`'s `Kernel::settle`.
     pub(crate) fn settle(&mut self) {
         if self.shutdown {
-            self.pending_class_moves.clear();
-            self.pending_wakes.clear();
-            self.pending_kills.clear();
-            self.pending_resched.clear();
+            self.deferred.clear();
             return;
         }
-        let Some(rt) = self.runtime.clone() else {
-            return;
-        };
-        let queued = self.pending_class_moves.len()
-            + self.pending_wakes.len()
-            + self.pending_kills.len()
-            + self.pending_resched.len()
-            + self.pending_spawns.len();
-        for _ in 0..settle_budget(queued) {
-            if let Some((tid, class)) = self.pending_class_moves.pop_front() {
-                self.apply_class_move(&rt, tid, class);
-            } else if let Some(tid) = self.pending_wakes.pop_front() {
-                self.apply_wake(&rt, tid);
-            } else if let Some(tid) = self.pending_kills.pop_front() {
-                self.apply_kill(&rt, tid);
-            } else if let Some((cpu, at)) = self.pending_resched.pop_front() {
-                self.apply_resched(&rt, cpu, at);
-            } else if let Some((tid, cpu)) = self.pending_spawns.pop_front() {
-                self.spawn_agent_thread(tid, cpu);
-            } else {
-                return;
+        let rt = self.runtime.clone();
+        while let Some(op) = self.deferred.pop() {
+            match op {
+                Op::ClassMove(tid, class) => self.apply_class_move(&rt, tid, class),
+                Op::Wake(tid) => self.apply_wake(&rt, tid),
+                Op::Kill(tid) => self.apply_kill(&rt, tid),
+                Op::Resched((cpu, at)) => self.apply_resched(&rt, cpu, at),
+                Op::Spawn(tid, cpu) => self.spawn_agent_thread(tid, cpu),
+                Op::Affinity(_) | Op::Nice(_) => {
+                    unreachable!("the live backend changes no affinity or nice value")
+                }
             }
         }
-        panic!("live settle() did not converge: livelock in deferred operations");
     }
 
     fn apply_wake(&mut self, rt: &GhostRuntime, tid: Tid) {
@@ -441,9 +426,6 @@ impl LiveState {
         if self.shutdown {
             return;
         }
-        let Some(rt) = self.runtime.clone() else {
-            return;
-        };
         if self.threads[tid.index()].state == ThreadState::Dead {
             // A kill raced with the stint; the kill path already took the
             // thread off the lane and posted THREAD_DEAD.
@@ -501,9 +483,9 @@ impl LiveState {
             next_class: CLASS_IDLE,
         });
         if class == CLASS_GHOST {
-            rt.hook_put_prev(self, tid, cpu, reason);
+            self.runtime.clone().hook_put_prev(self, tid, cpu, reason);
         }
-        self.pending_resched.push_back((cpu, now));
+        self.deferred.push(Op::Resched((cpu, now)));
         self.settle();
     }
 
@@ -539,7 +521,7 @@ impl LiveState {
                 }
                 // The OS thread itself finds out at its next stint
                 // boundary (preempt flag + Exit command below).
-                self.pending_resched.push_back((cpu, now));
+                self.deferred.push(Op::Resched((cpu, now)));
             }
             ThreadState::Runnable => {
                 if class == CLASS_GHOST {
@@ -596,7 +578,8 @@ impl LiveState {
                         self.threads[tid.index()].ctl.set_preempt();
                         let _ = cpu;
                     } else {
-                        self.pending_resched.push_back((cpu, self.clock.now()));
+                        let now = self.clock.now();
+                        self.deferred.push(Op::Resched((cpu, now)));
                     }
                 }
             }
@@ -615,37 +598,6 @@ impl LiveState {
             }
         }
         self.faults = plan;
-    }
-
-    /// The live agent thread pinned to `cpu` (victim lookup for
-    /// `FaultKind::AgentCrash`); mirrors the DES's `handle_fault`.
-    pub(crate) fn agent_on(&self, cpu: CpuId) -> Option<Tid> {
-        self.threads
-            .iter()
-            .enumerate()
-            .find(|(_, t)| {
-                t.kind == ThreadKind::Agent
-                    && t.state != ThreadState::Dead
-                    && t.affinity.contains(cpu)
-            })
-            .map(|(i, _)| Tid(i as u32))
-    }
-
-    /// The `nth` (modulo live count) workload thread, for
-    /// `FaultKind::SpuriousWakeup`; mirrors the DES's `handle_fault`.
-    pub(crate) fn nth_live_workload(&self, nth: u32) -> Option<Tid> {
-        let live: Vec<Tid> = self
-            .threads
-            .iter()
-            .enumerate()
-            .filter(|(_, t)| t.kind == ThreadKind::Workload && t.state != ThreadState::Dead)
-            .map(|(i, _)| Tid(i as u32))
-            .collect();
-        if live.is_empty() {
-            None
-        } else {
-            Some(live[nth as usize % live.len()])
-        }
     }
 
     fn spawn_agent_thread(&mut self, tid: Tid, cpu: CpuId) {
@@ -704,14 +656,6 @@ impl GhostBackend for LiveState {
         }
     }
 
-    fn thread_checked(&self, tid: Tid) -> Option<ghost_core::BackendThread> {
-        if self.valid_tid(tid) {
-            Some(self.thread(tid))
-        } else {
-            None
-        }
-    }
-
     fn cpu(&self, cpu: CpuId) -> ghost_core::BackendCpu {
         let c = &self.cpus[cpu.index()];
         ghost_core::BackendCpu {
@@ -720,14 +664,6 @@ impl GhostBackend for LiveState {
             // No CFS runqueues behind the live lanes: unmanaged threads
             // run on the host scheduler, so hot-handoff pressure is 0.
             cfs_queued: 0,
-        }
-    }
-
-    fn cpu_checked(&self, cpu: CpuId) -> Option<ghost_core::BackendCpu> {
-        if self.valid_cpu(cpu) {
-            Some(GhostBackend::cpu(self, cpu))
-        } else {
-            None
         }
     }
 
@@ -747,23 +683,23 @@ impl GhostBackend for LiveState {
     }
 
     fn wake(&mut self, tid: Tid) {
-        self.pending_wakes.push_back(tid);
+        self.deferred.push(Op::Wake(tid));
     }
 
     fn wake_at(&mut self, at: Nanos, tid: Tid) {
         if at <= self.clock.now() + IMMEDIATE_SLACK_NS {
-            self.pending_wakes.push_back(tid);
+            self.deferred.push(Op::Wake(tid));
         } else {
             self.arm_timer(at, TimerEntry::Wake(tid));
         }
     }
 
     fn kill(&mut self, tid: Tid) {
-        self.pending_kills.push_back(tid);
+        self.deferred.push(Op::Kill(tid));
     }
 
     fn move_to_class(&mut self, tid: Tid, class: ClassId) {
-        self.pending_class_moves.push_back((tid, class));
+        self.deferred.push(Op::ClassMove(tid, class));
     }
 
     fn send_ipi(&mut self, cpu: CpuId, at: Nanos) {
@@ -777,11 +713,11 @@ impl GhostBackend for LiveState {
         // re-arms a timer when the (possibly stretched) `at` is still in
         // the future (the slot's arm gate would refuse an early pick).
         match self.faults.ipi_fate(now) {
-            IpiFate::Normal => self.pending_resched.push_back((cpu, at)),
+            IpiFate::Normal => self.deferred.push(Op::Resched((cpu, at))),
             IpiFate::Delayed(extra) => {
                 self.stats.ipis_delayed += 1;
-                self.pending_resched
-                    .push_back((cpu, at.saturating_add(extra)));
+                self.deferred
+                    .push(Op::Resched((cpu, at.saturating_add(extra))));
             }
             IpiFate::Lost => self.stats.ipis_lost += 1,
         }
@@ -793,7 +729,7 @@ impl GhostBackend for LiveState {
 
     fn schedule_agent_loop(&mut self, at: Nanos, tid: Tid) {
         if at <= self.clock.now() + IMMEDIATE_SLACK_NS {
-            self.pending_wakes.push_back(tid);
+            self.deferred.push(Op::Wake(tid));
         } else {
             self.arm_timer(at, TimerEntry::AgentLoop(tid));
         }
@@ -818,19 +754,11 @@ impl GhostBackend for LiveState {
             ctl,
             join: None,
         });
-        self.pending_spawns.push_back((tid, cpu));
+        self.deferred.push(Op::Spawn(tid, cpu));
         tid
     }
 
-    fn fault_queue_overflow_active(&self) -> bool {
-        self.faults.queue_overflow_active(self.clock.now())
-    }
-
-    fn fault_agent_hang_until(&self, cpu: CpuId) -> Option<Nanos> {
-        self.faults.agent_hang_until(cpu, self.clock.now())
-    }
-
-    fn fault_agent_slow_factor(&self, cpu: CpuId) -> u64 {
-        self.faults.agent_slow_factor(cpu, self.clock.now())
+    fn faults(&self) -> &FaultPlan {
+        &self.faults
     }
 }

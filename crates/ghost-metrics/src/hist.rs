@@ -123,18 +123,6 @@ impl LogHistogram {
         self.max = self.max.max(value);
     }
 
-    /// Records `n` identical samples.
-    pub fn record_n(&mut self, value: u64, n: u64) {
-        if n == 0 {
-            return;
-        }
-        self.counts[Self::index_of(value)] += n;
-        self.count += n;
-        self.sum += value as u128 * n as u128;
-        self.min = self.min.min(value);
-        self.max = self.max.max(value);
-    }
-
     /// Number of recorded samples.
     pub fn count(&self) -> u64 {
         self.count
@@ -381,19 +369,6 @@ mod tests {
         for p in [50.0, 90.0, 99.0] {
             assert_eq!(a.percentile(p), c.percentile(p));
         }
-    }
-
-    #[test]
-    fn record_n_matches_repeated_record() {
-        let mut a = LogHistogram::new();
-        let mut b = LogHistogram::new();
-        a.record_n(777, 5);
-        for _ in 0..5 {
-            b.record(777);
-        }
-        assert_eq!(a.count(), b.count());
-        assert_eq!(a.mean(), b.mean());
-        assert_eq!(a.percentile(50.0), b.percentile(50.0));
     }
 
     #[test]

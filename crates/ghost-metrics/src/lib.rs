@@ -8,7 +8,7 @@
 //!   (Figs. 6 and 7 of the paper).
 //! * [`TimeSeries`] — time-binned samples with per-bin percentile
 //!   extraction, used for the Google Search time-series plots (Fig. 8).
-//! * [`Counter`] / [`MeanTracker`] — cheap scalar aggregates.
+//! * [`MeanTracker`] — a streaming mean without stored samples.
 //! * [`table`] — fixed-width text table rendering so each harness prints
 //!   the same rows/series the paper reports.
 //!
@@ -22,5 +22,5 @@ pub mod table;
 
 pub use hist::{LogHistogram, Percentile, TailSummary, PERCENTILES_SNAP};
 pub use series::TimeSeries;
-pub use stats::{Counter, MeanTracker, MinMax};
+pub use stats::MeanTracker;
 pub use table::Table;

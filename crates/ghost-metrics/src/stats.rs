@@ -1,40 +1,4 @@
-//! Cheap scalar aggregates used by simulator accounting.
-
-/// A monotonically increasing event counter.
-///
-/// # Examples
-///
-/// ```
-/// use ghost_metrics::Counter;
-/// let mut c = Counter::default();
-/// c.add(3);
-/// c.inc();
-/// assert_eq!(c.get(), 4);
-/// ```
-#[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
-pub struct Counter(u64);
-
-impl Counter {
-    /// Increments by one.
-    pub fn inc(&mut self) {
-        self.0 += 1;
-    }
-
-    /// Increments by `n`.
-    pub fn add(&mut self, n: u64) {
-        self.0 += n;
-    }
-
-    /// Current value.
-    pub fn get(&self) -> u64 {
-        self.0
-    }
-
-    /// Resets to zero.
-    pub fn reset(&mut self) {
-        self.0 = 0;
-    }
-}
+//! A cheap scalar aggregate for benchmark harnesses.
 
 /// Streaming mean without storing samples.
 #[derive(Debug, Default, Clone, Copy)]
@@ -70,66 +34,9 @@ impl MeanTracker {
     }
 }
 
-/// Tracks minimum and maximum of a sample stream.
-#[derive(Debug, Clone, Copy)]
-pub struct MinMax {
-    min: u64,
-    max: u64,
-    n: u64,
-}
-
-impl Default for MinMax {
-    fn default() -> Self {
-        Self {
-            min: u64::MAX,
-            max: 0,
-            n: 0,
-        }
-    }
-}
-
-impl MinMax {
-    /// Adds one sample.
-    pub fn record(&mut self, v: u64) {
-        self.min = self.min.min(v);
-        self.max = self.max.max(v);
-        self.n += 1;
-    }
-
-    /// Minimum seen, or 0 if empty.
-    pub fn min(&self) -> u64 {
-        if self.n == 0 {
-            0
-        } else {
-            self.min
-        }
-    }
-
-    /// Maximum seen.
-    pub fn max(&self) -> u64 {
-        self.max
-    }
-
-    /// Number of samples.
-    pub fn count(&self) -> u64 {
-        self.n
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn counter_basics() {
-        let mut c = Counter::default();
-        assert_eq!(c.get(), 0);
-        c.inc();
-        c.add(9);
-        assert_eq!(c.get(), 10);
-        c.reset();
-        assert_eq!(c.get(), 0);
-    }
 
     #[test]
     fn mean_tracker_basics() {
@@ -140,18 +47,5 @@ mod tests {
         assert_eq!(m.mean(), 3.0);
         assert_eq!(m.count(), 2);
         assert_eq!(m.sum(), 6.0);
-    }
-
-    #[test]
-    fn minmax_basics() {
-        let mut mm = MinMax::default();
-        assert_eq!(mm.min(), 0);
-        assert_eq!(mm.max(), 0);
-        mm.record(7);
-        mm.record(3);
-        mm.record(11);
-        assert_eq!(mm.min(), 3);
-        assert_eq!(mm.max(), 11);
-        assert_eq!(mm.count(), 3);
     }
 }

@@ -41,9 +41,9 @@ pub const NUM_CLASSES: usize = 5;
 /// All methods receive the shared [`KernelState`]; classes keep their own
 /// runqueues internally, keyed by [`Tid`]. Cross-class side effects (waking
 /// a thread, moving a thread to another class, requesting a resched) are
-/// expressed through the deferred-operation buffers on `KernelState` and
-/// applied by the kernel after the call returns, which keeps classes free
-/// of re-entrant borrows.
+/// queued on `KernelState`'s [`crate::deferred::Deferred`] and applied by
+/// the kernel after the call returns, which keeps classes free of
+/// re-entrant borrows.
 ///
 /// `Send` so a fully wired kernel can run on a `ghost-lab` worker thread.
 pub trait SchedClass: Send {

@@ -16,6 +16,8 @@
 //!   agent runtime) consult on every affected operation — e.g. every IPI
 //!   send checks [`FaultPlan::ipi_fate`].
 
+use crate::cpuset::CpuSet;
+use crate::thread::{ThreadKind, ThreadState, Tid};
 use crate::time::Nanos;
 use crate::topology::CpuId;
 
@@ -79,6 +81,32 @@ impl FaultKind {
             FaultKind::SpuriousWakeup { .. } => "spurious-wakeup",
             FaultKind::TickSkew { .. } => "tick-skew",
             FaultKind::Upgrade => "upgrade",
+        }
+    }
+
+    /// The thread a one-shot fault acts on, chosen from `threads` (every
+    /// thread ever spawned, in tid order, as `(tid, kind, state,
+    /// affinity)`). [`FaultKind::AgentCrash`] picks the first live agent
+    /// whose affinity holds its CPU; [`FaultKind::SpuriousWakeup`] picks
+    /// the `nth` live workload thread, modulo their count. Both backends
+    /// resolve victims here; other kinds have none.
+    pub fn victim(
+        &self,
+        threads: impl Iterator<Item = (Tid, ThreadKind, ThreadState, CpuSet)>,
+    ) -> Option<Tid> {
+        let mut live = threads.filter(|&(_, _, state, _)| state != ThreadState::Dead);
+        match *self {
+            FaultKind::AgentCrash { cpu } => live
+                .find(|&(_, kind, _, affinity)| kind == ThreadKind::Agent && affinity.contains(cpu))
+                .map(|(tid, ..)| tid),
+            FaultKind::SpuriousWakeup { nth } => {
+                let workloads: Vec<Tid> = live
+                    .filter(|&(_, kind, ..)| kind == ThreadKind::Workload)
+                    .map(|(tid, ..)| tid)
+                    .collect();
+                (!workloads.is_empty()).then(|| workloads[nth as usize % workloads.len()])
+            }
+            _ => None,
         }
     }
 }
@@ -283,5 +311,52 @@ mod tests {
         assert!(FaultKind::SpuriousWakeup { nth: 3 }.is_one_shot());
         assert!(!FaultKind::QueueOverflow { dur: 1 }.is_one_shot());
         assert!(!FaultKind::IpiLoss { dur: 1 }.is_one_shot());
+    }
+
+    #[test]
+    fn victims_skip_dead_and_foreign_threads() {
+        use ThreadKind::{Agent, Workload};
+        use ThreadState::{Blocked, Dead, Running};
+        let on = |cpus: &[u16]| CpuSet::from_iter(cpus.iter().map(|&c| CpuId(c)));
+        let threads = [
+            (Tid(0), Agent, Dead, on(&[1])),
+            (Tid(1), Agent, Running, on(&[0])),
+            (Tid(2), Workload, Blocked, on(&[1])),
+            (Tid(3), Workload, Dead, on(&[1])),
+            (Tid(4), Agent, Blocked, on(&[1])),
+            (Tid(5), Agent, Running, on(&[1, 2])),
+            (Tid(6), Workload, Running, on(&[0, 1])),
+        ];
+        let victim = |kind: FaultKind| kind.victim(threads.iter().copied());
+        // Crash: the dead agent and the one pinned elsewhere are skipped;
+        // of the two left, the lowest tid wins.
+        assert_eq!(
+            victim(FaultKind::AgentCrash { cpu: CpuId(1) }),
+            Some(Tid(4))
+        );
+        assert_eq!(
+            victim(FaultKind::AgentCrash { cpu: CpuId(2) }),
+            Some(Tid(5))
+        );
+        assert_eq!(victim(FaultKind::AgentCrash { cpu: CpuId(3) }), None);
+        // Spurious wakeup: only live workloads (2 and 6) count, and `nth`
+        // wraps around them.
+        let woken: Vec<_> = (0..5)
+            .map(|nth| victim(FaultKind::SpuriousWakeup { nth }))
+            .collect();
+        assert_eq!(
+            woken,
+            [Tid(2), Tid(6), Tid(2), Tid(6), Tid(2)].map(Some).to_vec()
+        );
+        assert_eq!(victim(FaultKind::Upgrade), None);
+        // No live workload: nothing to wake.
+        let agents_only = threads
+            .iter()
+            .copied()
+            .filter(|t| t.1 == Agent || t.2 == Dead);
+        assert_eq!(
+            FaultKind::SpuriousWakeup { nth: 0 }.victim(agents_only),
+            None
+        );
     }
 }

@@ -3,8 +3,8 @@
 //!
 //! [`Kernel`] owns everything; [`KernelState`] is the portion shared with
 //! scheduling classes, apps, and the agent driver. Cross-cutting side
-//! effects (wakeups, class changes, reschedules) are recorded in deferred
-//! buffers on `KernelState` and applied by `Kernel::settle` after each
+//! effects (wakeups, class changes, reschedules) are queued on
+//! `KernelState`'s [`Deferred`] and applied by `Kernel::settle` after each
 //! hook returns, which keeps plug-ins free of re-entrant borrows and makes
 //! event handling a fixpoint: every event fully settles the machine before
 //! the next event is popped.
@@ -18,6 +18,7 @@ use crate::class::{
 use crate::costs::CostModel;
 use crate::cpu::{CpuRunState, CpuState};
 use crate::cpuset::CpuSet;
+use crate::deferred::{Deferred, Op};
 use crate::event::{Ev, EventQueue};
 use crate::faults::{FaultKind, FaultPlan, IpiFate};
 use crate::rt::{AgentClass, RtFifoClass};
@@ -27,7 +28,6 @@ use crate::topology::{CpuId, Topology};
 use ghost_trace::{TraceEvent, TraceSink, NO_TID, PREV_BLOCKED, PREV_DEAD, PREV_RUNNABLE};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use std::collections::VecDeque;
 
 /// Simulator configuration.
 #[derive(Debug, Clone)]
@@ -96,12 +96,7 @@ pub struct KernelState {
     /// Deterministic RNG for plug-ins that need randomness.
     pub rng: StdRng,
     events: EventQueue,
-    pending_wakes: VecDeque<Tid>,
-    pending_class_moves: VecDeque<(Tid, ClassId)>,
-    pending_affinity: VecDeque<Tid>,
-    pending_nice: VecDeque<Tid>,
-    pending_resched: VecDeque<CpuId>,
-    pending_kills: VecDeque<Tid>,
+    deferred: Deferred<CpuId>,
     next_app: u32,
 }
 
@@ -139,16 +134,6 @@ impl KernelState {
         cpu.index() < self.cpus.len()
     }
 
-    /// Bounds-checked access to a thread (for agent-supplied tids).
-    pub fn thread_checked(&self, tid: Tid) -> Option<&SimThread> {
-        self.threads.get(tid.index())
-    }
-
-    /// Bounds-checked access to a CPU (for agent-supplied CPU ids).
-    pub fn cpu_checked(&self, cpu: CpuId) -> Option<&CpuState> {
-        self.cpus.get(cpu.index())
-    }
-
     /// True if `cpu`'s SMT sibling is occupied.
     pub fn sibling_busy(&self, cpu: CpuId) -> bool {
         self.topo
@@ -168,7 +153,7 @@ impl KernelState {
     /// when the current hook returns; waking an already-active or dead
     /// thread is a no-op.
     pub fn wake(&mut self, tid: Tid) {
-        self.pending_wakes.push_back(tid);
+        self.deferred.push(Op::Wake(tid));
     }
 
     /// Wakes `tid` at the future time `at`.
@@ -179,7 +164,7 @@ impl KernelState {
 
     /// Requests moving `tid` into scheduling class `class`.
     pub fn move_to_class(&mut self, tid: Tid, class: ClassId) {
-        self.pending_class_moves.push_back((tid, class));
+        self.deferred.push(Op::ClassMove(tid, class));
     }
 
     /// Changes `tid`'s affinity mask.
@@ -190,20 +175,20 @@ impl KernelState {
     pub fn set_affinity(&mut self, tid: Tid, mask: CpuSet) {
         assert!(!mask.is_empty(), "affinity mask must not be empty");
         self.threads[tid.index()].affinity = mask;
-        self.pending_affinity.push_back(tid);
+        self.deferred.push(Op::Affinity(tid));
     }
 
     /// Requests killing `tid`; applied when the current hook returns.
     /// Usable from class/app/driver context (e.g. the ghOSt watchdog
     /// tearing down an enclave's agents).
     pub fn kill(&mut self, tid: Tid) {
-        self.pending_kills.push_back(tid);
+        self.deferred.push(Op::Kill(tid));
     }
 
     /// Changes `tid`'s nice value.
     pub fn set_nice(&mut self, tid: Tid, nice: i8) {
         self.threads[tid.index()].nice = nice.clamp(-20, 19);
-        self.pending_nice.push_back(tid);
+        self.deferred.push(Op::Nice(tid));
     }
 
     /// Requests a scheduler pass on `cpu` as soon as the current hook
@@ -211,7 +196,7 @@ impl KernelState {
     pub fn request_resched(&mut self, cpu: CpuId) {
         if !self.cpus[cpu.index()].resched_pending {
             self.cpus[cpu.index()].resched_pending = true;
-            self.pending_resched.push_back(cpu);
+            self.deferred.push(Op::Resched(cpu));
         }
     }
 
@@ -422,16 +407,6 @@ impl ThreadSpec {
     }
 }
 
-/// Livelock guard for a settle loop that starts with `queued` deferred
-/// operations, shared by every backend's settle loop. Scaled to the work
-/// already queued: a mass wake of N threads legitimately takes N
-/// iterations (the bench-sim scale sweep wakes a million at once), while
-/// a genuine livelock — operations endlessly re-deferring each other —
-/// still trips the bound because it never drains the backlog.
-pub fn settle_budget(queued: usize) -> usize {
-    100_000.max(4 * queued)
-}
-
 impl Kernel {
     /// Boots a machine with the default class hierarchy: Agent, RT-FIFO,
     /// CFS, a null ghOSt slot (install the real one via
@@ -465,12 +440,7 @@ impl Kernel {
             stats: SimStats::default(),
             offcpu_reason: OffCpuReason::Block,
             events,
-            pending_wakes: VecDeque::new(),
-            pending_class_moves: VecDeque::new(),
-            pending_affinity: VecDeque::new(),
-            pending_nice: VecDeque::new(),
-            pending_resched: VecDeque::new(),
-            pending_kills: VecDeque::new(),
+            deferred: Deferred::default(),
             next_app: 0,
         };
         let classes: Vec<Box<dyn SchedClass>> = vec![
@@ -568,7 +538,7 @@ impl Kernel {
 
     fn handle(&mut self, ev: Ev) {
         match ev {
-            Ev::Wake { tid } => self.state.pending_wakes.push_back(tid),
+            Ev::Wake { tid } => self.state.wake(tid),
             Ev::Resched { cpu } => {
                 self.state
                     .cfg
@@ -600,38 +570,14 @@ impl Kernel {
     /// userspace runtime can react (e.g. [`FaultKind::Upgrade`]).
     fn handle_fault(&mut self, idx: usize) {
         let kind = self.state.cfg.faults.events[idx].kind.clone();
-        match kind {
-            FaultKind::AgentCrash { cpu } => {
-                let victim = self
-                    .state
-                    .threads
-                    .iter()
-                    .find(|t| {
-                        t.kind == ThreadKind::Agent
-                            && t.state != ThreadState::Dead
-                            && t.affinity.contains(cpu)
-                    })
-                    .map(|t| t.tid);
-                if let Some(tid) = victim {
-                    self.kill_now(tid);
-                }
-            }
-            FaultKind::SpuriousWakeup { nth } => {
-                let live: Vec<Tid> = self
-                    .state
-                    .threads
-                    .iter()
-                    .filter(|t| t.kind == ThreadKind::Workload && t.state != ThreadState::Dead)
-                    .map(|t| t.tid)
-                    .collect();
-                if !live.is_empty() {
-                    // `wake` is a no-op unless the thread is blocked, so a
-                    // spurious wakeup of an active thread dissolves — just
-                    // like a stray `try_to_wake_up` in the real kernel.
-                    let tid = live[nth as usize % live.len()];
-                    self.state.wake(tid);
-                }
-            }
+        let threads = self.state.threads.iter();
+        let victim = kind.victim(threads.map(|t| (t.tid, t.kind, t.state, t.affinity)));
+        match (&kind, victim) {
+            (FaultKind::AgentCrash { .. }, Some(tid)) => self.kill_now(tid),
+            // `wake` is a no-op unless the thread is blocked, so a spurious
+            // wakeup of an active thread dissolves — just like a stray
+            // `try_to_wake_up` in the real kernel.
+            (FaultKind::SpuriousWakeup { .. }, Some(tid)) => self.state.wake(tid),
             _ => {}
         }
         self.driver.on_fault(&kind, &mut self.state);
@@ -641,42 +587,37 @@ impl Kernel {
     /// code that queued wakes or class moves through [`KernelState`]
     /// calls this to apply them before the next event.
     pub fn settle(&mut self) {
-        let queued = self.state.pending_class_moves.len()
-            + self.state.pending_wakes.len()
-            + self.state.pending_affinity.len()
-            + self.state.pending_nice.len()
-            + self.state.pending_kills.len()
-            + self.state.pending_resched.len();
-        for _ in 0..settle_budget(queued) {
-            if let Some((tid, class)) = self.state.pending_class_moves.pop_front() {
-                self.apply_class_move(tid, class);
-            } else if let Some(tid) = self.state.pending_wakes.pop_front() {
-                self.apply_wake(tid);
-            } else if let Some(tid) = self.state.pending_affinity.pop_front() {
-                let class = self.state.threads[tid.index()].class;
-                self.classes[class as usize].on_affinity_changed(tid, &mut self.state);
-                // A running thread on a now-forbidden CPU must move.
-                let t = &self.state.threads[tid.index()];
-                if t.state == ThreadState::Running {
-                    if let Some(cpu) = t.cpu {
-                        if !t.affinity.contains(cpu) {
-                            self.state.request_resched(cpu);
-                        }
-                    }
+        while let Some(op) = self.state.deferred.pop() {
+            match op {
+                Op::ClassMove(tid, class) => self.apply_class_move(tid, class),
+                Op::Wake(tid) => self.apply_wake(tid),
+                Op::Affinity(tid) => self.apply_affinity(tid),
+                Op::Nice(tid) => {
+                    let class = self.state.threads[tid.index()].class;
+                    self.classes[class as usize].on_nice_changed(tid, &mut self.state);
                 }
-            } else if let Some(tid) = self.state.pending_nice.pop_front() {
-                let class = self.state.threads[tid.index()].class;
-                self.classes[class as usize].on_nice_changed(tid, &mut self.state);
-            } else if let Some(tid) = self.state.pending_kills.pop_front() {
-                self.kill_now(tid);
-            } else if let Some(cpu) = self.state.pending_resched.pop_front() {
-                self.state.cpus[cpu.index()].resched_pending = false;
-                self.do_resched(cpu);
-            } else {
-                return;
+                Op::Kill(tid) => self.kill_now(tid),
+                Op::Resched(cpu) => {
+                    self.state.cpus[cpu.index()].resched_pending = false;
+                    self.do_resched(cpu);
+                }
+                Op::Spawn(..) => unreachable!("DES agents are spawned directly"),
             }
         }
-        panic!("settle() did not converge: livelock in deferred operations");
+    }
+
+    fn apply_affinity(&mut self, tid: Tid) {
+        let class = self.state.threads[tid.index()].class;
+        self.classes[class as usize].on_affinity_changed(tid, &mut self.state);
+        // A running thread on a now-forbidden CPU must move.
+        let t = &self.state.threads[tid.index()];
+        if t.state == ThreadState::Running {
+            if let Some(cpu) = t.cpu {
+                if !t.affinity.contains(cpu) {
+                    self.state.request_resched(cpu);
+                }
+            }
+        }
     }
 
     fn apply_wake(&mut self, tid: Tid) {

@@ -35,6 +35,7 @@ pub mod class;
 pub mod costs;
 pub mod cpu;
 pub mod cpuset;
+pub mod deferred;
 pub mod event;
 pub mod faults;
 pub mod idle;
@@ -51,7 +52,7 @@ pub use costs::CostModel;
 pub use cpu::CpuState;
 pub use cpuset::CpuSet;
 pub use faults::{FaultEvent, FaultKind, FaultPlan, IpiFate};
-pub use kernel::{settle_budget, Kernel, KernelConfig, KernelState};
+pub use kernel::{Kernel, KernelConfig, KernelState};
 pub use thread::{SimThread, ThreadKind, ThreadState, Tid};
 pub use time::{Nanos, MICROS, MILLIS, SECS};
 pub use topology::{CpuId, Topology};
